@@ -281,8 +281,10 @@ def cmd_ideal_primes_above(args) -> int:
 def _parse_module(K, text: str):
     gens = []
     for part in text.split(";"):
-        a, b = (quadring.parse_element(K, s) for s in part.split(","))
-        gens.append((a, b))
+        coords = part.split(",")
+        if len(coords) != 2:
+            raise _usage_error(f"expected generator pairs 'a,b; c,d', got {text!r}")
+        gens.append(tuple(quadring.parse_element(K, s) for s in coords))
     return okmodules.module_from_generators(K, gens)
 
 
@@ -314,7 +316,10 @@ def cmd_okmod_reconstruct(args) -> int:
     L = _ideal_of(K, args.invariant_l)
     Kid = _ideal_of(K, args.invariant_k)
     I = quadring.ideal_quotient(Kid, L)
-    a_text, b_text = args.point.split(":")
+    parts = args.point.split(":")
+    if len(parts) != 2:
+        raise _usage_error(f"expected a point 'a:b', got {args.point!r}")
+    a_text, b_text = parts
     a = quadring.parse_element(K, a_text)
     b = quadring.parse_element(K, b_text)
     p = okproj.ok_class_of(a, b, I)

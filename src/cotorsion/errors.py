@@ -54,3 +54,10 @@ class SearchExhausted(CotorsionError):
 
     This reports a bound failure, never mathematical nonexistence.
     """
+
+
+class InternalInconsistency(CotorsionError):
+    """An internal consistency check failed: the computation contradicts a theorem.
+
+    Raised instead of ``assert`` so that the check survives ``python -O``.
+    """

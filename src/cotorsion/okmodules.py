@@ -7,6 +7,12 @@ invariant factor ideals L >= K with O^2/M isomorphic to O/L + O/K,
 together with a projective-line point mod I where K = L*I; reconstruct
 inverts the classification and enumerate_cotorsion lists the |PF^1_I|
 modules sharing (L, K).
+
+Both directions are finite linear algebra.  For any pair v that is
+unimodular mod I, M = L*v + K*O^2, and conversely the colon module
+(M : L) = {x : L*x within M} equals O*v + I*O^2, so the point is the line
+(M : L) / I*O^2 in (O/I)^2.  The witness search of the paper's proof
+(witnesses) is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -16,29 +22,35 @@ from itertools import product
 
 from . import intmat
 from .arith import divisors
-from .errors import BadInvariants, NonComaximal, NotFullRank, OutOfRange, SearchExhausted
+from .errors import (
+    BadInvariants,
+    DegenerateInput,
+    InternalInconsistency,
+    NonComaximal,
+    NotFullRank,
+    NotUnimodular,
+    OutOfRange,
+)
 from .okproj import (
     OkProjPoint,
     coprime_lift,
+    is_unimodular_pair,
+    line_point,
     ok_cardinality,
-    ok_class_of,
     ok_crt_join,
     ok_enumerate,
+    prime_divisors,
 )
 from .quadring import (
     QuadIdeal,
     QuadInt,
     QuadRing,
-    express_one,
-    element_avoiding,
-    factor_ideal,
     ideal_from_generators,
     ideal_mul,
     ideal_quotient,
     ideal_sum,
     is_principal,
     unit_ideal,
-    valuation,
 )
 from .search import shells
 
@@ -48,7 +60,8 @@ Pair = tuple[QuadInt, QuadInt]
 #: enumerate_cotorsion refuses to materialize more modules than this.
 ENUMERATION_BOUND = 10**5
 
-#: default coefficient box for the witness search in proj_invariant_element
+#: default coefficient box for the witness-search oracle and the sampled
+#: witness check of verify_intersection_theorem
 WITNESS_BOX = 25
 
 
@@ -188,8 +201,12 @@ def invariant_ideals(M: CotorsionModule) -> tuple[QuadIdeal, QuadIdeal]:
             dets.append(ai * bj - aj * bi)
     LK = ideal_from_generators(M.ring, [d for d in dets if not d.is_zero()])
     L = ideal_quotient(LK, Kann)
-    assert L.contains_ideal(Kann), "invariant ideals not nested"
-    assert L.norm * Kann.norm == M.quotient_size
+    if not L.contains_ideal(Kann):
+        raise InternalInconsistency(f"invariant ideals of {M} not nested: {L}, {Kann}")
+    if L.norm * Kann.norm != M.quotient_size:
+        raise InternalInconsistency(
+            f"N(L)*N(K) = {L.norm * Kann.norm} differs from |O^2/M| = {M.quotient_size} for {M}"
+        )
     return L, Kann
 
 
@@ -203,10 +220,6 @@ class OkInvariantData:
     point: OkProjPoint
 
 
-def _prime_divisors(Kann: QuadIdeal) -> list[QuadIdeal]:
-    return [P for P, _ in factor_ideal(Kann)]
-
-
 def witnesses(M: CotorsionModule, box: int = WITNESS_BOX):
     """Yield witness data (t, a, b, I) with (t*a, t*b) in M.
 
@@ -214,11 +227,13 @@ def witnesses(M: CotorsionModule, box: int = WITNESS_BOX):
     principal with generator t lying in L but in no L*P for a prime P of
     K; then (a, b) = (u/t, v/t) is globally coprime and [a:b] is the
     classifying point mod I.  Scans M by increasing coefficient box
-    against its HNF basis.
+    against its HNF basis.  This is the paper's route to the point and
+    serves as an oracle for proj_invariant_element; it can scan long
+    when L is not principal.
     """
     L, Kann = invariant_ideals(M)
     I = ideal_quotient(Kann, L)
-    traps = [ideal_mul(L, P) for P in _prime_divisors(Kann)]
+    traps = [ideal_mul(L, P) for P in prime_divisors(Kann)]
     rows = M.basis_pairs()
     for c in shells(4, box):
         u = rows[0][0] * c[0] + rows[1][0] * c[1] + rows[2][0] * c[2] + rows[3][0] * c[3]
@@ -242,76 +257,62 @@ def _exact_divide(u: QuadInt, t: QuadInt) -> QuadInt:
     """u / t in O; u must be a multiple of t."""
     n = t.norm()
     prod = u * t.conj()
-    assert prod.x % n == 0 and prod.y % n == 0, f"{u} is not a multiple of {t}"
+    if prod.x % n or prod.y % n:
+        raise InternalInconsistency(f"{u} is not a multiple of {t}")
     return QuadInt(u.ring, prod.x // n, prod.y // n)
 
 
-def proj_invariant_element(M: CotorsionModule, box: int = WITNESS_BOX) -> OkInvariantData:
+def _colon_rows(M: CotorsionModule, L: QuadIdeal) -> list[list[int]]:
+    """Z-generators of (M : L) = {x in O^2 : L*x within M}, where L is the first invariant ideal.
+
+    M lies in L*O^2 and L*conj(L) = N(L)*O, so conj(L)*M lies in N(L)*O^2
+    and (M : L) = conj(L)*M / N(L): the products of the conjugated
+    Z-basis of L with the basis of M, divided exactly by N(L).
+    """
+    n = L.norm
+    rows = []
+    for c in L.basis():
+        for pair in M.basis_pairs():
+            row = coords4(scale_pair(c.conj(), pair))
+            if any(v % n for v in row):
+                raise InternalInconsistency(f"{M} is not contained in {L} * O^2")
+            rows.append([v // n for v in row])
+    return rows
+
+
+def proj_invariant_element(M: CotorsionModule) -> OkInvariantData:
     """The full classifying data (L, K, I, point) of a module.
 
-    The point is read off the first witness found; all witnesses yield
-    the same class.  SearchExhausted flags a bound failure only.
+    The point is the canonical point of the line (M : L) / I*O^2, which
+    equals the class of every witness of the paper's construction.
     """
     L, Kann = invariant_ideals(M)
     I = ideal_quotient(Kann, L)
-    assert ideal_mul(L, I) == Kann
-    if I.is_unit_ideal():
-        return OkInvariantData(L, Kann, I, OkProjPoint(I, (0, 0), (0, 0)))
-    for _, a, b, _ in witnesses(M, box):
-        return OkInvariantData(L, Kann, I, ok_class_of(a, b, I))
-    raise SearchExhausted(f"no witness for {M} within coefficient box {box}")
+    if ideal_mul(L, I) != Kann:
+        raise InternalInconsistency(f"K != L*I for L={L}, K={Kann}, I={I}")
+    return OkInvariantData(L, Kann, I, line_point(I, _colon_rows(M, L)))
 
 
 def reconstruct(L: QuadIdeal, Kid: QuadIdeal, p: OkProjPoint) -> CotorsionModule:
     """The unique module with invariant ideals (L, K) and point p mod I.
 
-    Assembled from a globally coprime lift (a, b) of p, a Bezout pair
-    a*x - b*y = 1, and one scalar q_P per prime P of K with exact
-    valuation 1 there: the rows (a, b) and (y, x) scaled by the products
-    of q_P to the L- resp. K-valuations, plus L*K times both basis
-    vectors.
+    M = L*v + K*O^2 for the representative v = (a, b) of p, which is
+    unimodular mod I: the HNF of the rows (l*a, l*b) for the Z-basis l
+    of L, plus the Z-basis of K times each basis vector of O^2.
     """
     ring = L.ring
     I = p.modulus
     if ideal_mul(L, I) != Kid:
         raise BadInvariants(f"K != L*I for L={L}, K={Kid}, I={I}")
-    if I.is_unit_ideal():
-        a, b = ring.one, ring.element(0)
-    else:
-        a, b = coprime_lift(QuadInt(ring, *p.a), QuadInt(ring, *p.b), I)
-    # a*x - b*y = 1: split 1 = s + r with s in <a>, r in <b>
-    if b.is_zero():
-        x, y = _exact_divide(ring.one, a), ring.element(0)
-    elif a.is_zero():
-        x, y = ring.element(0), -_exact_divide(ring.one, b)
-    else:
-        s, r = express_one(ideal_from_generators(ring, [a]), ideal_from_generators(ring, [b]))
-        x = _exact_divide(s, a)
-        y = -_exact_divide(r, b)
-    primes = [P for P, _ in factor_ideal(Kid)]
-    qs = [element_avoiding(P, [ideal_mul(P, Q) for Q in primes]) for P in primes]
-    s1 = ring.one
-    s2 = ring.one
-    for P, q in zip(primes, qs):
-        s1 = s1 * q ** valuation(L, P)
-        s2 = s2 * q ** valuation(Kid, P)
-    n1 = (a * s1, b * s1)
-    n2 = (y * s2, x * s2)
-    w = ring.omega
-    rows = [
-        coords4(n1),
-        coords4(scale_pair(w, n1)),
-        coords4(n2),
-        coords4(scale_pair(w, n2)),
-    ]
-    LK = ideal_mul(L, Kid)
+    a, b = p.rep()
+    if not is_unimodular_pair(a, b, I):
+        raise NotUnimodular(f"({a}, {b}) is not unimodular mod {I}")
+    rows = [coords4((l * a, l * b)) for l in L.basis()]
     zero = ring.element(0)
-    for beta in LK.basis():
-        rows.append(coords4((beta, zero)))
-        rows.append(coords4((zero, beta)))
+    for k in Kid.basis():
+        rows.append(coords4((k, zero)))
+        rows.append(coords4((zero, k)))
     hnf = intmat.row_hnf(rows)
-    if len(hnf) != 4:
-        raise NotFullRank("reconstruction produced a degenerate lattice")
     return CotorsionModule(ring, tuple(tuple(r) for r in hnf))
 
 
@@ -334,7 +335,8 @@ def enumerate_cotorsion(
 
 def intersect(M1: CotorsionModule, M2: CotorsionModule) -> CotorsionModule:
     """The intersection module (omega-stable automatically)."""
-    assert M1.ring == M2.ring
+    if M1.ring != M2.ring:
+        raise DegenerateInput(f"modules over {M1.ring} and {M2.ring} cannot be intersected")
     rows = intmat.lattice_intersect(
         [list(r) for r in M1.hnf4], [list(r) for r in M2.hnf4]
     )
@@ -368,14 +370,15 @@ def verify_intersection_theorem(
 ) -> IntersectionReport:
     """Check the intersection of modules with pairwise comaximal annihilators.
 
-    Asserts: invariant ideals of the intersection are the products of
+    Checks: invariant ideals of the intersection are the products of
     the component ideals; its point is the CRT join of the component
     points; and (t*a, t*b) lies in the intersection for several sampled
-    t in L avoiding L*P for every prime P of the product K.
+    t in L avoiding L*P for every prime P of the product K, scanned by
+    coefficient box up to ``box`` against the basis of L.
     """
     modules = list(modules)
     ring = modules[0].ring
-    data = [proj_invariant_element(M, box) for M in modules]
+    data = [proj_invariant_element(M) for M in modules]
     for i in range(len(data)):
         for j in range(i + 1, len(data)):
             if not ideal_sum(data[i].K, data[j].K).is_unit_ideal():
@@ -392,7 +395,7 @@ def verify_intersection_theorem(
     for d in data:
         prod_L = ideal_mul(prod_L, d.L)
         prod_K = ideal_mul(prod_K, d.K)
-    cap_data = proj_invariant_element(cap, box)
+    cap_data = proj_invariant_element(cap)
     ideals_multiply = (cap_data.L, cap_data.K) == (prod_L, prod_K)
 
     joined = ok_crt_join([d.point for d in data])
@@ -403,7 +406,7 @@ def verify_intersection_theorem(
         a, b = ring.one, ring.element(0)
     else:
         a, b = coprime_lift(QuadInt(ring, *joined.a), QuadInt(ring, *joined.b), joined.modulus)
-    traps = [ideal_mul(prod_L, P) for P, _ in factor_ideal(prod_K)]
+    traps = [ideal_mul(prod_L, P) for P in prime_divisors(prod_K)]
     found = 0
     witnesses_ok = True
     b0, b1 = prod_L.basis()

@@ -4,18 +4,28 @@ Points are classes of pairs (a, b) that are unimodular modulo the ideal
 I (meaning <a> + <b> + I = O) under the relation a*d - b*c in I,
 equivalently under scaling by units of O/I.  A point stores the canonical residues
 of its representative: the pair whose reduced coordinates are
-lexicographically least over the unit orbit.  Every residue-unimodular
-pair also lifts to a globally coprime pair; coprime_lift computes such
-a lift, bridging the two presentations.
+lexicographically least over the unit orbit.  The unimodular elements of
+the line O*(a, b) + I*O^2 in (O/I)^2 are exactly that orbit, so line_point
+finds the representative by scanning the N(I) elements of the line in
+lexicographic order.  Every residue-unimodular pair also lifts to a
+globally coprime pair; coprime_lift computes such a lift, bridging the
+two presentations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import intmat
-from .errors import BadProduct, NonComaximal, NotUnimodular, OutOfRange, SearchExhausted
+from .arith import factorize
+from .errors import (
+    BadProduct,
+    InternalInconsistency,
+    NonComaximal,
+    NotUnimodular,
+    OutOfRange,
+    SearchExhausted,
+)
 from .quadring import (
     QuadIdeal,
     QuadInt,
@@ -24,6 +34,7 @@ from .quadring import (
     ideal_crt,
     ideal_mul,
     ideal_sum,
+    primes_above,
     unit_ideal,
 )
 from .search import shells
@@ -84,38 +95,103 @@ def is_unimodular_pair(a: QuadInt, b: QuadInt, I: QuadIdeal) -> bool:
     return intmat.row_hnf(rows) == [[1, 0], [0, 1]]
 
 
-@lru_cache(maxsize=None)
+def prime_divisors(I: QuadIdeal) -> list[QuadIdeal]:
+    """The maximal ideals containing I, without their exponents."""
+    K = I.ring
+    return [
+        pa.ideal
+        for p, _ in factorize(I.norm)
+        for pa in primes_above(K, p)
+        if pa.ideal.contains_ideal(I)
+    ]
+
+
 def unit_residues(I: QuadIdeal) -> tuple[QuadInt, ...]:
-    """All residues mod I that are units of O/I, in scan order."""
+    """All residues mod I that are units of O/I, in scan order.
+
+    A residue is a unit iff no prime dividing I contains it.
+    """
     K = I.ring
     (r11, _), (_, r22) = I.hnf
+    primes = prime_divisors(I)
     out = []
     for x in range(r11):
         for y in range(r22):
             el = QuadInt(K, x, y)
-            if is_unimodular_pair(el, K.element(0), I):
+            if not any(P.contains(el) for P in primes):
                 out.append(el)
     return tuple(out)
+
+
+def _box_points(H, box, start: int, stop: int, v: tuple[int, ...]):
+    """v plus combinations of rows start..stop-1 of the 4x4 HNF H, in lex order.
+
+    Yields the combinations whose coordinates start..stop-1 lie in
+    [0, box[i]).  Needs H[i][i] | box[i], which holds when the span
+    contains I*O^2, whose HNF has diagonal box.  Row i only moves
+    coordinates >= i, so coordinate i is settled at depth i.
+    """
+    if start == stop:
+        yield v
+        return
+    row = H[start]
+    h = row[start]
+    # shift coordinate start into [0, h), then step through the box by h
+    c = -(v[start] // h)
+    v = tuple(x + c * r for x, r in zip(v, row))
+    for _ in range(box[start] // h):
+        yield from _box_points(H, box, start + 1, stop, v)
+        v = tuple(x + r for x, r in zip(v, row))
+
+
+def line_point(I: QuadIdeal, rows) -> OkProjPoint:
+    """The canonical point of a line of (O/I)^2.
+
+    ``rows`` are coordinates (a.x, a.y, b.x, b.y) of pairs that, together
+    with I*O^2, span a lattice of index N(I) in O^2 whose image mod I*O^2
+    is the line O*v for some unimodular v.  The point is the lexicographically
+    least unimodular element of the line in reduced coordinates, found
+    by scanning the line's N(I) elements in that order; a pair is
+    unimodular iff no prime dividing I contains both coordinates.
+    """
+    K = I.ring
+    if I.is_unit_ideal():
+        return OkProjPoint(I, (0, 0), (0, 0))
+    (r11, r12), (_, r22) = I.hnf
+    box = (r11, r22, r11, r22)
+    ideal_rows = [[r11, r12, 0, 0], [0, r22, 0, 0], [0, 0, r11, r12], [0, 0, 0, r22]]
+    H = intmat.row_hnf([list(r) for r in rows] + ideal_rows)
+    if H[0][0] * H[1][1] * H[2][2] * H[3][3] != I.norm:
+        raise InternalInconsistency(f"rows {rows} do not span a line mod {I}")
+    primes = prime_divisors(I)
+    # mu*v is unimodular iff mu is a unit, so at a prime P not containing
+    # the first coordinate of v, a first coordinate in P rules out every
+    # element sharing it; the first coordinates span rows 0 and 1 of H
+    heads = (QuadInt(K, H[0][0], H[0][1]), QuadInt(K, 0, H[1][1]))
+    a_primes = [P for P in primes if not all(P.contains(g) for g in heads)]
+    for head in _box_points(H, box, 0, 2, (0, 0, 0, 0)):
+        a = QuadInt(K, head[0], head[1])
+        if any(P.contains(a) for P in a_primes):
+            continue
+        for ax, ay, bx, by in _box_points(H, box, 2, 4, head):
+            b = QuadInt(K, bx, by)
+            if not any(P.contains(a) and P.contains(b) for P in primes):
+                return OkProjPoint(I, (ax, ay), (bx, by))
+    raise InternalInconsistency(f"line spanned by {rows} mod {I} has no unimodular element")
 
 
 def ok_class_of(a: QuadInt, b: QuadInt, I: QuadIdeal) -> OkProjPoint:
     """Canonical representative of [a:b] over O/I.
 
     The representative minimizes the reduced coordinate 4-tuple
-    (a.x, a.y, b.x, b.y) over the orbit under units of O/I.
+    (a.x, a.y, b.x, b.y) over the orbit under units of O/I, read off the
+    line O*(a, b) + I*O^2 by line_point.
     """
     if not is_unimodular_pair(a, b, I):
         raise NotUnimodular(f"({a}, {b}) is not unimodular mod {I}")
-    if I.is_unit_ideal():
-        return OkProjPoint(I, (0, 0), (0, 0))
-    best = None
-    for lam in unit_residues(I):
-        ra = I.reduce(lam * a)
-        rb = I.reduce(lam * b)
-        key = (ra.x, ra.y, rb.x, rb.y)
-        if best is None or key < best:
-            best = key
-    return OkProjPoint(I, (best[0], best[1]), (best[2], best[3]))
+    w = I.ring.omega
+    aw, bw = a * w, b * w
+    return line_point(I, [[a.x, a.y, b.x, b.y], [aw.x, aw.y, bw.x, bw.y]])
 
 
 def ok_equivalent(a: QuadInt, b: QuadInt, c: QuadInt, d: QuadInt, I: QuadIdeal) -> bool:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -220,3 +221,29 @@ class TestDeterminism:
         with pytest.raises(SystemExit) as exc:
             main(["lattice", "enumerate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("okmod", "invariants", "--disc", "-1", "--gens", "1,2,3"),
+            ("okmod", "reconstruct", "--disc", "-1", "--L", "1", "--K", "2", "--point", "1"),
+        ],
+    )
+    def test_malformed_okmod_input_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+# stdout of okmod calls recorded before classification and reconstruction
+# moved from witness and lift searches to linear algebra; the D = -71 call
+# has a non-principal L and took 20 s on the search path
+GOLDEN = json.loads((Path(__file__).parent / "golden_okmod.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"][-6:]))
+def test_okmod_golden_output(capsys, case):
+    code, out = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out == case["stdout"]

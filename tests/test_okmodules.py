@@ -1,7 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import cotorsion
 from cotorsion import intmat
 from cotorsion.errors import BadInvariants, NonComaximal, NotFullRank
 from cotorsion.okmodules import (
@@ -20,13 +28,20 @@ from cotorsion.okmodules import (
     verify_intersection_theorem,
     witnesses,
 )
-from cotorsion.okproj import ok_cardinality, ok_class_of, ok_crt_join, ok_enumerate
+from cotorsion.okproj import (
+    ok_cardinality,
+    ok_class_of,
+    ok_crt_join,
+    ok_enumerate,
+    unit_residues,
+)
 from cotorsion.quadring import (
     enumerate_ideals,
     ideal_from_generators,
     ideal_mul,
     ideal_quotient,
     ideal_sum,
+    is_principal,
     primes_above,
     ring,
     unit_ideal,
@@ -243,9 +258,86 @@ class TestProjInvariantElement:
                 classes.add(ok_class_of(a, b, Iw))
                 if i == 4:
                     break
-            assert len(classes) == 1
+            # the paper's witness construction is the oracle for the linear-algebra point
+            assert classes == {proj_invariant_element(M).point}
             checked += 1
         assert checked == 100
+
+    def test_nonprincipal_content_ideal(self):
+        # L is not principal, which kept the witness search scanning for ~20 s
+        K = ring(-71)
+        M = module_from_generators(
+            K,
+            [
+                (K.element(0, -3), K.element(0, -2)),
+                (K.element(-3, 0), K.element(0, -2)),
+            ],
+        )
+        data = proj_invariant_element(M)
+        assert is_principal(data.L) is None
+        assert (data.L.norm, data.I.norm) == (3, 1296)
+        assert reconstruct(data.L, data.K, data.point) == M
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([-1, -5, -23, -71]),
+        st.lists(st.integers(-2, 2), min_size=8, max_size=8),
+    )
+    @example(-5, [2, 0, 1, 1, 0, 0, 1, 1])  # L = (2, 1+w), not principal
+    def test_round_trip_random_generators(self, d, c):
+        K = ring(d)
+        gens = [
+            (K.element(c[0], c[1]), K.element(c[2], c[3])),
+            (K.element(c[4], c[5]), K.element(c[6], c[7])),
+        ]
+        try:
+            M = module_from_generators(K, gens)
+        except NotFullRank:
+            assume(False)
+        data = proj_invariant_element(M)
+        # L is the ideal of all generator coordinates (entry-ideal oracle)
+        assert data.L == ideal_from_generators(K, [e for g in gens for e in g])
+        assert data.point.modulus == data.I
+        # the point is the least reduced pair over its unit orbit
+        a, b = data.point.rep()
+        keys = []
+        for lam in unit_residues(data.I):
+            ra, rb = data.I.reduce(lam * a), data.I.reduce(lam * b)
+            keys.append((ra.x, ra.y, rb.x, rb.y))
+        assert min(keys) == data.point.a + data.point.b
+        assert reconstruct(data.L, data.K, data.point) == M
+
+
+class TestInternalChecks:
+    def test_check_survives_optimize_flag(self):
+        # a wrong colon ideal breaks the index check of invariant_ideals,
+        # which must raise even when python -O strips asserts
+        script = textwrap.dedent(
+            """
+            import sys
+            from cotorsion import okmodules, quadring
+            from cotorsion.errors import InternalInconsistency
+            if not sys.flags.optimize:
+                sys.exit("not run under -O")
+            K = quadring.ring(-1)
+            M = okmodules.module_from_generators(
+                K, [(K.one, K.one), (K.element(0), K.element(1, 1))]
+            )
+            okmodules.ideal_quotient = lambda I, J: I
+            try:
+                okmodules.invariant_ideals(M)
+            except InternalInconsistency:
+                print("raised")
+            """
+        )
+        src = str(Path(cotorsion.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "raised"
 
 
 class TestReconstruct:

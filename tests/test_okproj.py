@@ -35,6 +35,15 @@ def small_ideals(K, max_norm):
     return [I for n in range(1, max_norm + 1) for I in enumerate_ideals(K, n)]
 
 
+def orbit_least(a, b, I):
+    """Reference class: the least reduced coordinates over the unit orbit of (a, b)."""
+    keys = []
+    for lam in unit_residues(I):
+        ra, rb = I.reduce(lam * a), I.reduce(lam * b)
+        keys.append((ra.x, ra.y, rb.x, rb.y))
+    return min(keys)
+
+
 class TestClassOf:
     def test_trivial_modulus(self):
         p = ok_class_of(KI.one, KI.element(0), unit_ideal(KI))
@@ -61,9 +70,16 @@ class TestClassOf:
             for I in small_ideals(K, 12):
                 if I.is_unit_ideal():
                     continue
+                (r11, _), (_, r22) = I.hnf
+                residues = [K.element(x, y) for x in range(r11) for y in range(r22)]
+                units = unit_residues(I)
+                assert units == tuple(
+                    el for el in residues if is_unimodular_pair(el, K.element(0), I)
+                )
                 for p in ok_enumerate(I):
                     a, b = p.rep()
-                    for lam in unit_residues(I):
+                    assert p.a + p.b == orbit_least(a, b, I)
+                    for lam in units:
                         assert ok_class_of(lam * a, lam * b, I) == p
 
     def test_equivalent_matches_class_equality(self):
