@@ -109,6 +109,38 @@ def is_square(n: int) -> tuple[bool, int | None]:
     return False, None
 
 
+def sqrt_mod(a: int, p: int) -> int:
+    """The least square root of a modulo the prime p, by Tonelli-Shanks.
+
+    The quadratic non-residue comes from a scan upward from 2, so the
+    result is deterministic.  Raises DegenerateInput when a is not a
+    square mod p.  Primality of p is the caller's to check.
+    """
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    half = (p - 1) // 2
+    if pow(a, half, p) != 1:
+        raise DegenerateInput(f"{a} is not a square mod {p}")
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, half, p) != p - 1:
+        z += 1
+    # invariants: r^2 = a*t, c has order 2^m, t has order dividing 2^(m-1)
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
+
+
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     """The residue mod m1*m2 congruent to r1 mod m1 and r2 mod m2 (coprime moduli)."""
     g, x, _ = xgcd(m1, m2)

@@ -137,55 +137,54 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(2)
 
 
-def _zeta_series(args) -> dirichlet.DirichletSeries:
-    n = args.nmax
-    if args.series in ("dedekind", "ok-pf1", "ok-z2"):
-        if args.disc is None:
-            raise _usage_error(f"--series {args.series} requires --disc")
-        K = quadring.ring(args.disc)
-        if args.series == "dedekind":
-            return dirichlet.series_ideal_count(K, n)
-        if args.series == "ok-pf1":
-            return dirichlet.series_ok_pf1(K, n)
+def _zeta_series(series: str, K, n: int) -> dirichlet.DirichletSeries:
+    if series == "dedekind":
+        return dirichlet.series_ideal_count(K, n)
+    if series == "ok-pf1":
+        return dirichlet.series_ok_pf1(K, n)
+    if series == "ok-z2":
         return dirichlet.series_ok_module_count(K, n)
-    if args.series == "z2":
+    if series == "z2":
         return dirichlet.series_z2(n)
-    if args.series == "sigma":
+    if series == "sigma":
         return dirichlet.series_sigma(n)
     return dirichlet.series_pf1(n)
 
 
+def _identity_reports(series: str, K, n: int) -> list[dirichlet.IdentityReport]:
+    """Both zeta identities, each factor series built once.
+
+    The left side is the stratum sum of the classification; the right
+    sides are Dirichlet convolutions of the factor series.
+    """
+    if series == "z2":
+        pf1 = dirichlet.series_pf1(n)
+        lhs = dirichlet.stratum_sum(dirichlet.series_zeta(n), pf1)
+        rhs = (
+            dirichlet.convolve(dirichlet.series_zeta_shift(n), dirichlet.series_zeta(n)),
+            dirichlet.convolve(dirichlet.series_zeta_double(n), pf1),
+        )
+    elif series == "ok-z2":
+        counts = dirichlet.series_ideal_count(K, n)
+        pf1 = dirichlet.series_ok_pf1(K, n)
+        lhs = dirichlet.stratum_sum(counts, pf1)
+        rhs = (
+            dirichlet.convolve(dirichlet.series_shift(counts), counts),
+            dirichlet.convolve(dirichlet.series_square_support(counts), pf1),
+        )
+    else:
+        raise _usage_error("--check-identity applies to --series z2 or ok-z2")
+    return [dirichlet.check_identity(lhs, r) for r in rhs]
+
+
 def cmd_zeta(args) -> int:
-    series = _zeta_series(args)
+    K = None
+    if args.series in ("dedekind", "ok-pf1", "ok-z2"):
+        if args.disc is None:
+            raise _usage_error(f"--series {args.series} requires --disc")
+        K = quadring.ring(args.disc)
     if args.check_identity:
-        if args.series == "z2":
-            n = args.nmax
-            reports = [
-                dirichlet.check_identity(
-                    series, dirichlet.convolve(dirichlet.series_zeta_shift(n), dirichlet.series_zeta(n))
-                ),
-                dirichlet.check_identity(
-                    series, dirichlet.convolve(dirichlet.series_zeta_double(n), dirichlet.series_pf1(n))
-                ),
-            ]
-        elif args.series == "ok-z2":
-            K = quadring.ring(args.disc)
-            n = args.nmax
-            counts = dirichlet.series_ideal_count(K, n)
-            reports = [
-                dirichlet.check_identity(
-                    series, dirichlet.convolve(dirichlet.series_shift(counts), counts)
-                ),
-                dirichlet.check_identity(
-                    series,
-                    dirichlet.convolve(
-                        dirichlet.series_square_support(counts),
-                        dirichlet.series_ok_pf1(K, n),
-                    ),
-                ),
-            ]
-        else:
-            raise _usage_error("--check-identity applies to --series z2 or ok-z2")
+        reports = _identity_reports(args.series, K, args.nmax)
         obj = [
             {
                 "equal": r.equal,
@@ -196,6 +195,7 @@ def cmd_zeta(args) -> int:
         ]
         _out(args, obj, "\n".join(str(r) for r in reports))
         return 0 if all(r.equal for r in reports) else 1
+    series = _zeta_series(args.series, K, args.nmax)
     if args.format == "csv":
         for n, a in enumerate(series.coeffs, start=1):
             print(f"{n},{a}")

@@ -9,7 +9,7 @@ sigma(n) lattices.
 from __future__ import annotations
 
 from .arith import divisors, is_square, sigma
-from .errors import OutOfRange
+from .errors import InternalInconsistency, OutOfRange
 from .lattice2 import Lattice2, SmithData, contains, proj_invariant, reconstruct, smith
 from .projline import ProjPoint, enumerate_points
 
@@ -68,6 +68,6 @@ def classify(lat: Lattice2) -> tuple[tuple[int, int, int], ProjPoint]:
     sd: SmithData = smith(lat)
     d = sd.d2 // sd.d1
     point = proj_invariant(lat)
-    if sd.d1 == 1 and d > 1:
-        assert contains(lat, (point.a, point.b)), "primitive vector missing"
+    if sd.d1 == 1 and d > 1 and not contains(lat, (point.a, point.b)):
+        raise InternalInconsistency(f"primitive vector {point} missing from {lat}")
     return (sd.d1, sd.d2, d), point

@@ -19,11 +19,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import intmat
-from .arith import factorize
-from .errors import DegenerateInput, NonComaximal, SearchExhausted, ZeroIdeal
+from .arith import factorize, sqrt_mod
+from .errors import (
+    DegenerateInput,
+    InternalInconsistency,
+    NonComaximal,
+    SearchExhausted,
+    ZeroIdeal,
+)
 from .search import shells
 
 Hnf2 = tuple[tuple[int, int], tuple[int, int]]
+
+#: The number of (ring, p) results primes_above keeps; a miss costs one
+#: modular square root and one 2x2 HNF.
+PRIMES_ABOVE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True, order=True)
@@ -80,6 +90,13 @@ def ring(d: int) -> QuadRing:
     return QuadRing(d)
 
 
+def _same_ring(a, b) -> QuadRing:
+    """The common ring of two elements or ideals; DegenerateInput if they differ."""
+    if a.ring is not b.ring and a.ring != b.ring:
+        raise DegenerateInput(f"{a.ring} and {b.ring} are different rings")
+    return a.ring
+
+
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _WITH_W_RE = re.compile(r"^(?:(?P<x>[+-]?\d+)(?=[+-]))?(?P<y>[+-]?\d*)\*?w$")
 
@@ -93,12 +110,10 @@ class QuadInt:
     y: int
 
     def __add__(self, other: "QuadInt") -> "QuadInt":
-        assert self.ring == other.ring
-        return QuadInt(self.ring, self.x + other.x, self.y + other.y)
+        return QuadInt(_same_ring(self, other), self.x + other.x, self.y + other.y)
 
     def __sub__(self, other: "QuadInt") -> "QuadInt":
-        assert self.ring == other.ring
-        return QuadInt(self.ring, self.x - other.x, self.y - other.y)
+        return QuadInt(_same_ring(self, other), self.x - other.x, self.y - other.y)
 
     def __neg__(self) -> "QuadInt":
         return QuadInt(self.ring, -self.x, -self.y)
@@ -106,11 +121,11 @@ class QuadInt:
     def __mul__(self, other):
         if isinstance(other, int):
             return QuadInt(self.ring, self.x * other, self.y * other)
-        assert self.ring == other.ring
-        t, u = self.ring.t, self.ring.u
+        K = _same_ring(self, other)
+        t, u = K.t, K.u
         yy = self.y * other.y
         return QuadInt(
-            self.ring,
+            K,
             self.x * other.x + u * yy,
             self.x * other.y + self.y * other.x + t * yy,
         )
@@ -254,10 +269,10 @@ def unit_ideal(K: QuadRing) -> QuadIdeal:
 
 def ideal_mul(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
     """Product ideal: span of the pairwise products of the Z-bases."""
-    assert I.ring == J.ring
+    K = _same_ring(I, J)
     rows = [(a * b).coords() for a in I.basis() for b in J.basis()]
     hnf = intmat.row_hnf([list(r) for r in rows])
-    return QuadIdeal(I.ring, (tuple(hnf[0]), tuple(hnf[1])))
+    return QuadIdeal(K, (tuple(hnf[0]), tuple(hnf[1])))
 
 
 def ideal_pow(I: QuadIdeal, k: int) -> QuadIdeal:
@@ -268,14 +283,14 @@ def ideal_pow(I: QuadIdeal, k: int) -> QuadIdeal:
 
 
 def ideal_sum(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
-    assert I.ring == J.ring
+    _same_ring(I, J)
     rows = [list(b.coords()) for b in I.basis()] + [list(b.coords()) for b in J.basis()]
     hnf = intmat.row_hnf(rows)
     return QuadIdeal(I.ring, (tuple(hnf[0]), tuple(hnf[1])))
 
 
 def ideal_intersect(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
-    assert I.ring == J.ring
+    _same_ring(I, J)
     rows = intmat.lattice_intersect(
         [list(r) for r in I.hnf], [list(r) for r in J.hnf]
     )
@@ -294,14 +309,15 @@ def ideal_quotient(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
     Uses J * conj(J) = N(J) * O, valid in any maximal quadratic order:
     (I : J) = (I * conj(J) / N(J)) ∩ O = (I * conj(J) ∩ N(J)O) / N(J).
     """
-    assert I.ring == J.ring
+    _same_ring(I, J)
     n = J.norm
     prod = ideal_mul(I, ideal_conj(J))
     meet = intmat.lattice_intersect(
         [list(r) for r in prod.hnf], [[n, 0], [0, n]]
     )
     rows = [[v // n for v in row] for row in meet]
-    assert all(v * n == w for row, mrow in zip(rows, meet) for v, w in zip(row, mrow))
+    if any(v * n != w for row, mrow in zip(rows, meet) for v, w in zip(row, mrow)):
+        raise InternalInconsistency(f"(I * conj(J)) ∩ N(J)O is not divisible by {n}")
     return QuadIdeal(I.ring, (tuple(rows[0]), tuple(rows[1])))
 
 
@@ -318,28 +334,47 @@ class PrimeAbove:
     f: int
 
 
-@lru_cache(maxsize=None)
+def kronecker(K: QuadRing, p: int) -> int:
+    """The Kronecker symbol (disc K / p) at a prime p: 1, -1 or 0.
+
+    p splits in K when it is 1, stays inert when it is -1 and ramifies
+    when it is 0.  Euler's criterion for odd p; for p = 2 the symbol
+    reads disc mod 8.  The caller guarantees that p is prime.
+    """
+    D = K.disc
+    if D % p == 0:
+        return 0
+    if p == 2:
+        return 1 if D % 8 == 1 else -1
+    return 1 if pow(D, (p - 1) // 2, p) == 1 else -1
+
+
+@lru_cache(maxsize=PRIMES_ABOVE_CACHE_SIZE)
 def primes_above(K: QuadRing, p: int) -> tuple[PrimeAbove, ...]:
     """The maximal ideals over the rational prime p: split, inert or ramified.
 
-    Determined by the roots of x^2 - t*x - u (the minimal polynomial of
-    w) modulo p: two roots give two split primes (p, w - r), one root a
-    ramified prime, none the inert prime (p).
+    The Kronecker symbol decides the splitting type.  A split or ramified
+    prime is (p, w - r) for a root r of x^2 - t*x - u (the minimal
+    polynomial of w) modulo p; for odd p the roots are (t ± s) / 2 with
+    s^2 = t^2 + 4u = disc (mod p), s by Tonelli-Shanks.
     """
     if factorize(p).pairs != ((p, 1),):
         raise DegenerateInput(f"{p} is not prime")
-    t, u = K.t, K.u
-    roots = [r for r in range(p) if (r * r - t * r - u) % p == 0]
     pe = K.element(p)
-    if len(roots) == 2:
-        ideals = sorted(
-            ideal_from_generators(K, [pe, K.omega - K.element(r)]) for r in roots
-        )
+    chi = kronecker(K, p)
+    if chi == -1:
+        return (PrimeAbove(ideal_from_generators(K, [pe]), 1, 2),)
+    t, u = K.t, K.u
+    if p == 2:
+        roots = [r for r in range(2) if (r * r - t * r - u) % 2 == 0]
+    else:
+        s = sqrt_mod(K.disc, p)
+        half = (p + 1) // 2  # the inverse of 2 mod p
+        roots = {(t + s) * half % p, (t - s) * half % p}
+    ideals = sorted(ideal_from_generators(K, [pe, K.omega - K.element(r)]) for r in roots)
+    if chi == 1:
         return tuple(PrimeAbove(idl, 1, 1) for idl in ideals)
-    if len(roots) == 1:
-        idl = ideal_from_generators(K, [pe, K.omega - K.element(roots[0])])
-        return (PrimeAbove(idl, 2, 1),)
-    return (PrimeAbove(ideal_from_generators(K, [pe]), 1, 2),)
+    return (PrimeAbove(ideals[0], 2, 1),)
 
 
 def valuation(I: QuadIdeal, P: QuadIdeal) -> int:
@@ -365,7 +400,8 @@ def factor_ideal(I: QuadIdeal) -> list[tuple[QuadIdeal, int]]:
     check = unit_ideal(K)
     for P, e in out:
         check = ideal_mul(check, ideal_pow(P, e))
-    assert check == I, f"reassembly failed for {I}"
+    if check != I:
+        raise InternalInconsistency(f"reassembly failed for {I}")
     return out
 
 
@@ -435,7 +471,7 @@ def is_principal(I: QuadIdeal) -> QuadInt | None:
 
 def express_one(I: QuadIdeal, J: QuadIdeal) -> tuple[QuadInt, QuadInt]:
     """(a, b) with a in I, b in J and a + b = 1; NonComaximal if I + J != O."""
-    assert I.ring == J.ring
+    _same_ring(I, J)
     rows = [list(b.coords()) for b in I.basis()] + [list(b.coords()) for b in J.basis()]
     hnf, trans = intmat.row_hnf_with_transform(rows)
     coeffs = intmat.solve_in_lattice([r for r in hnf if any(r)], [1, 0])
@@ -450,7 +486,8 @@ def express_one(I: QuadIdeal, J: QuadIdeal) -> tuple[QuadInt, QuadInt]:
     bj = J.basis()
     a = bi[0] * full[0] + bi[1] * full[1]
     b = bj[0] * full[2] + bj[1] * full[3]
-    assert (a + b).coords() == (1, 0)
+    if (a + b).coords() != (1, 0):
+        raise InternalInconsistency(f"a + b = {a + b}, not 1, for {I} and {J}")
     return a, b
 
 

@@ -12,9 +12,31 @@ from cotorsion.arith import (
     factorize,
     is_square,
     sigma,
+    sqrt_mod,
     xgcd,
 )
 from cotorsion.errors import DegenerateInput, OutOfRange
+
+
+class TestSqrtMod:
+    def test_matches_scan(self):
+        for p in (2, 3, 5, 7, 13, 17, 41, 97, 193, 257, 641, 673):
+            squares = {x * x % p: min(x, p - x) for x in range(p)}
+            for a in range(p):
+                if a in squares:
+                    assert sqrt_mod(a, p) == squares[a]
+                else:
+                    with pytest.raises(DegenerateInput):
+                        sqrt_mod(a, p)
+
+    def test_large_two_adic_order(self):
+        # p - 1 = 2^16: the Tonelli-Shanks loop runs up to 16 rounds
+        p = 65537
+        for x in (2, 3, 256, 12345, 40000, p - 1):
+            assert sqrt_mod(x * x, p) == min(x, p - x)
+
+    def test_reduces_argument(self):
+        assert sqrt_mod(-1, 5) == sqrt_mod(4, 5) == 2
 
 
 class TestXgcd:

@@ -247,3 +247,15 @@ def test_okmod_golden_output(capsys, case):
     code, out = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == case["stdout"]
+
+
+# stdout of zeta calls in every format, recorded while the series were
+# still built per n from divisors, factorizations and enumerated ideals
+GOLDEN_ZETA = json.loads((Path(__file__).parent / "golden_zeta.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_ZETA, ids=lambda c: " ".join(c["argv"]))
+def test_zeta_golden_output(capsys, case):
+    code, out = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out == case["stdout"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cotorsion.arith import sigma
+from cotorsion.arith import divisors, is_square, sigma
 from cotorsion.dirichlet import (
     DirichletSeries,
     check_identity,
@@ -21,6 +21,7 @@ from cotorsion.dirichlet import (
     series_zeta,
     series_zeta_double,
     series_zeta_shift,
+    stratum_sum,
 )
 from cotorsion.errors import BadLength
 from cotorsion.okproj import ok_cardinality
@@ -29,6 +30,9 @@ from cotorsion.quadring import enumerate_ideals, ring
 
 KI = ring(-1)
 K5 = ring(-5)
+# class numbers 1, 1, 1, 2, 3, 7; extra units at -1 and -3; 2 ramified at
+# -1, -2 and -5, split at -23 and -71, inert at -3
+DISCS = (-1, -2, -3, -5, -23, -71)
 
 
 class TestConvolve:
@@ -56,6 +60,20 @@ class TestConvolve:
             h = DirichletSeries(tuple(rng.randint(-9, 9) for _ in range(n)))
             assert convolve(f, g) == convolve(g, f)
             assert convolve(convolve(f, g), h) == convolve(f, convolve(g, h))
+
+    @given(st.data())
+    def test_matches_definition(self, data):
+        # lengths around squares and r*(r+1) move the split between the
+        # two passes; zeros exercise the skipped terms
+        n = data.draw(st.integers(0, 60))
+        coeff = st.integers(-3, 3)
+        f = DirichletSeries(tuple(data.draw(coeff) for _ in range(n)))
+        g = DirichletSeries(tuple(data.draw(coeff) for _ in range(n)))
+        want = tuple(
+            sum(f.a(d) * g.a(m // d) for d in range(1, m + 1) if m % d == 0)
+            for m in range(1, n + 1)
+        )
+        assert convolve(f, g).coeffs == want
 
     @given(st.data())
     def test_ring_axioms_property(self, data):
@@ -98,6 +116,26 @@ class TestBasicSeries:
         N = 500
         assert series_z2(N) == series_sigma(N)
 
+    def test_sieves_match_definitions(self):
+        # the per-n definitions the sieve replaced, up to 3,000
+        N = 3000
+        assert series_pf1(N).coeffs == tuple(cardinality(n) for n in range(1, N + 1))
+        assert series_sigma(N).coeffs == tuple(sigma(n) for n in range(1, N + 1))
+        divisor_strata = tuple(
+            sum(cardinality(d) for d in divisors(n) if is_square(n // d)[0])
+            for n in range(1, N + 1)
+        )
+        assert series_z2(N).coeffs == divisor_strata
+
+    def test_empty_truncations(self):
+        for n in (-3, 0):
+            assert series_pf1(n).coeffs == series_z2(n).coeffs == ()
+            assert series_ok_module_count(K5, n).coeffs == ()
+
+    def test_stratum_sum_length_mismatch(self):
+        with pytest.raises(BadLength):
+            stratum_sum(series_zeta(5), series_zeta(6))
+
     def test_z2_counts_lattices(self):
         from cotorsion.latenum import enumerate_index
 
@@ -113,11 +151,25 @@ class TestZIdentities:
         assert check_identity(z2, convolve(series_zeta_shift(n), series_zeta(n))).equal
         assert check_identity(z2, convolve(series_zeta_double(n), series_pf1(n))).equal
 
+    def test_cor_identities_large_scale(self):
+        # ten times the AC4 scale
+        n = 10**5
+        z2 = series_z2(n)
+        assert check_identity(z2, convolve(series_zeta_shift(n), series_zeta(n))).equal
+        assert check_identity(z2, convolve(series_zeta_double(n), series_pf1(n))).equal
+
     def test_mismatch_reported(self):
         report = check_identity(series_zeta(2), series_zeta_shift(2))
         assert not report.equal
         assert report.first_mismatch == 2
         assert (report.lhs_value, report.rhs_value) == (1, 2)
+
+    def test_late_mismatch_reported(self):
+        f = series_zeta_shift(50)
+        g = DirichletSeries(f.coeffs[:40] + (0,) + f.coeffs[41:])
+        report = check_identity(f, g)
+        assert (report.first_mismatch, report.lhs_value, report.rhs_value) == (41, 41, 0)
+        assert str(report) == "mismatch at n=41: 41 != 0"
 
     def test_length_mismatch(self):
         with pytest.raises(BadLength):
@@ -135,13 +187,13 @@ class TestDedekindSeries:
         assert series_ideal_count(K5, 2).a(2) == 1
 
     def test_counts_match_enumeration(self):
-        for K in (KI, K5):
+        for K in map(ring, DISCS):
             s = series_ideal_count(K, 50)
             for n in range(1, 51):
                 assert s.a(n) == len(enumerate_ideals(K, n))
 
     def test_pf1_matches_enumeration(self):
-        for K in (KI, K5):
+        for K in map(ring, DISCS):
             s = series_ok_pf1(K, 30)
             for n in range(1, 31):
                 assert s.a(n) == sum(ok_cardinality(I) for I in enumerate_ideals(K, n))
@@ -162,6 +214,18 @@ class TestDedekindIdentities:
     def test_module_count_identities(self, d):
         K = ring(d)
         n = 120
+        mc = series_ok_module_count(K, n)
+        counts = series_ideal_count(K, n)
+        assert check_identity(mc, convolve(series_shift(counts), counts)).equal
+        assert check_identity(
+            mc, convolve(series_square_support(counts), series_ok_pf1(K, n))
+        ).equal
+
+    @pytest.mark.parametrize("d", [-23, -71])
+    def test_module_count_identities_large_scale(self, d):
+        # class numbers 3 and 7, above the AC5 scale of 300
+        K = ring(d)
+        n = 10**4
         mc = series_ok_module_count(K, n)
         counts = series_ideal_count(K, n)
         assert check_identity(mc, convolve(series_shift(counts), counts)).equal

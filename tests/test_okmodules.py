@@ -310,24 +310,37 @@ class TestProjInvariantElement:
 
 class TestInternalChecks:
     def test_check_survives_optimize_flag(self):
-        # a wrong colon ideal breaks the index check of invariant_ideals,
-        # which must raise even when python -O strips asserts
+        # each check must raise even when python -O strips asserts: a wrong
+        # colon ideal breaks the index check of invariant_ideals, a wrong
+        # ideal power breaks the reassembly in factor_ideal, a missing
+        # primitive vector breaks latenum.classify, and rings must match
         script = textwrap.dedent(
             """
             import sys
-            from cotorsion import okmodules, quadring
-            from cotorsion.errors import InternalInconsistency
+            from cotorsion import latenum, lattice2, okmodules, quadring
+            from cotorsion.errors import DegenerateInput, InternalInconsistency
             if not sys.flags.optimize:
                 sys.exit("not run under -O")
             K = quadring.ring(-1)
+
+            def expect(error, call, *args):
+                try:
+                    call(*args)
+                except error:
+                    print("raised")
+
             M = okmodules.module_from_generators(
                 K, [(K.one, K.one), (K.element(0), K.element(1, 1))]
             )
             okmodules.ideal_quotient = lambda I, J: I
-            try:
-                okmodules.invariant_ideals(M)
-            except InternalInconsistency:
-                print("raised")
+            expect(InternalInconsistency, okmodules.invariant_ideals, M)
+            I = quadring.ideal_from_generators(K, [K.element(6)])
+            quadring.ideal_pow = lambda P, e: quadring.unit_ideal(K)
+            expect(InternalInconsistency, quadring.factor_ideal, I)
+            latenum.contains = lambda lat, v: False
+            expect(InternalInconsistency, latenum.classify, lattice2.Lattice2(((1, 2), (0, 4))))
+            K5 = quadring.ring(-5)
+            expect(DegenerateInput, quadring.ideal_mul, I, quadring.unit_ideal(K5))
             """
         )
         src = str(Path(cotorsion.__file__).resolve().parents[1])
@@ -337,7 +350,7 @@ class TestInternalChecks:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "raised"
+        assert done.stdout.split() == ["raised"] * 4
 
 
 class TestReconstruct:

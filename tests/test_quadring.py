@@ -20,6 +20,7 @@ from cotorsion.quadring import (
     ideal_quotient,
     ideal_sum,
     is_principal,
+    kronecker,
     parse_element,
     primes_above,
     ring,
@@ -139,6 +140,20 @@ class TestIdealConstruction:
                 assert ideal_from_generators(K, [g]).norm == g.norm()
 
 
+class TestRingMismatch:
+    def test_elements_of_different_rings(self):
+        a, b = KI.element(1, 1), K5.element(1, 1)
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+            with pytest.raises(DegenerateInput):
+                op()
+
+    def test_ideals_of_different_rings(self):
+        I, J = unit_ideal(KI), unit_ideal(K5)
+        for op in (ideal_mul, ideal_sum, ideal_intersect, ideal_quotient, express_one):
+            with pytest.raises(DegenerateInput):
+                op(I, J)
+
+
 class TestIdealArithmetic:
     def test_mul_unit_identity(self):
         assert ideal_mul(P2, unit_ideal(K5)) == P2
@@ -227,6 +242,21 @@ class TestPrimesAbove:
         assert pa.ideal.norm == 2 and (pa.e, pa.f) == (2, 1)
         assert ideal_mul(pa.ideal, pa.ideal) == ideal_from_generators(K5, [K5.element(2)])
 
+    @pytest.mark.parametrize("d", [-1, -2, -3, -5, -23, -71])
+    def test_matches_root_scan(self, d):
+        # the O(p) root scan that Tonelli-Shanks replaced, as the oracle
+        K = ring(d)
+        t, u = K.t, K.u
+        for p in range(2, 3000):
+            if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+                continue
+            roots = [r for r in range(p) if (r * r - t * r - u) % p == 0]
+            gens = [[K.element(p), K.omega - K.element(r)] for r in roots] or [[K.element(p)]]
+            ideals = sorted(ideal_from_generators(K, g) for g in gens)
+            ef = {2: (1, 1), 1: (2, 1), 0: (1, 2)}[len(roots)]
+            assert primes_above(K, p) == tuple(PrimeAbove(I, *ef) for I in ideals)
+            assert kronecker(K, p) == {2: 1, 1: 0, 0: -1}[len(roots)]
+
     def test_splitting_matches_kronecker(self):
         # for odd p coprime to disc: split iff disc is a QR mod p
         for K in (KI, K5, ring(-3), ring(-7)):
@@ -239,6 +269,9 @@ class TestPrimesAbove:
     def test_rejects_composite(self):
         with pytest.raises(DegenerateInput):
             primes_above(KI, 6)
+
+    def test_cache_is_bounded(self):
+        assert primes_above.cache_info().maxsize is not None
 
 
 class TestFactorIdeal:
