@@ -82,17 +82,16 @@ def _moduli_arg(text: str):
 
 def cmd_lattice_invariants(args) -> int:
     lat = lattice2.from_rows(*args.rows)
-    sd = lattice2.smith(lat)
-    point = lattice2.proj_invariant(lat)
+    d1, d2, point = lattice2.invariants(lat)
     obj = {
         "lattice": lat.to_json(),
         "index": lat.index,
-        "d1": sd.d1,
-        "d2": sd.d2,
-        "d": sd.d2 // sd.d1,
+        "d1": d1,
+        "d2": d2,
+        "d": d2 // d1,
         "point": point.to_json(),
     }
-    _out(args, obj, f"{lat}: d1={sd.d1}, d2={sd.d2}, point {point}")
+    _out(args, obj, f"{lat}: d1={d1}, d2={d2}, point {point}")
     return 0
 
 
@@ -478,6 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse drops an attached value of '--' (as in --mod=--) and stores
+    # [] without calling the option's type; no option has an empty value
+    if any(value == [] for value in vars(args).values()):
+        parser.error("an option value of '--' is not accepted")
     try:
         return args.func(args)
     except CotorsionError as exc:

@@ -1,5 +1,8 @@
 """Exact integer matrix algorithms: Hermite and Smith normal forms, kernels.
 
+No classification path computes a Smith normal form; the library reads
+invariants off HNF bases, and smith_normal_form stays as the tests' oracle.
+
 Conventions used throughout the package:
 
 * matrices are lists (or tuples) of rows of Python ints;

@@ -3,14 +3,15 @@
 Two independent routes: the classifying bijection (one projective point
 per stratum of divisors d | n with n/d square) and a direct scan of all
 Hermite bases with determinant n.  Both produce the same sorted list of
-sigma(n) lattices.
+sigma(n) lattices.  classify reads the stratum and the point off the
+HNF in closed form (lattice2.invariants).
 """
 
 from __future__ import annotations
 
 from .arith import divisors, is_square, sigma
 from .errors import InternalInconsistency, OutOfRange
-from .lattice2 import Lattice2, SmithData, contains, proj_invariant, reconstruct, smith
+from .lattice2 import Lattice2, contains, invariants, reconstruct
 from .projline import ProjPoint, enumerate_points
 
 #: enumerate_index refuses to materialize more lattices than this.
@@ -65,9 +66,8 @@ def classify(lat: Lattice2) -> tuple[tuple[int, int, int], ProjPoint]:
     For the cyclic-quotient stratum (d1 = 1) the classifying point's
     coprime representative is checked to actually lie in the lattice.
     """
-    sd: SmithData = smith(lat)
-    d = sd.d2 // sd.d1
-    point = proj_invariant(lat)
-    if sd.d1 == 1 and d > 1 and not contains(lat, (point.a, point.b)):
+    d1, d2, point = invariants(lat)
+    d = d2 // d1
+    if d1 == 1 and d > 1 and not contains(lat, (point.a, point.b)):
         raise InternalInconsistency(f"primitive vector {point} missing from {lat}")
-    return (sd.d1, sd.d2, d), point
+    return (d1, d2, d), point

@@ -2,9 +2,13 @@
 
 A sublattice is stored by its canonical row Hermite basis
 ((r11, r12), (0, r22)) with r11, r22 >= 1 and 0 <= r12 < r22, so two
-lattices are equal as sets iff their matrices are equal.  The Smith
-invariants d1 | d2 together with a projective-line point mod d2/d1
-classify the lattice completely; reconstruct inverts the classification.
+lattices are equal as sets iff their matrices are equal.  The invariants
+d1 | d2 of Z^2/M = Z/d1 + Z/d2 together with a projective-line point
+mod d2/d1 classify the lattice completely; reconstruct inverts the
+classification.  Both directions are closed forms in the HNF entries:
+d1 = gcd(r11, r12, r22), and M/d1 has basis (a, b), (0, c) with
+gcd(a, b, c) = 1, so the point is the line M/d1 spans mod d = a*c.
+The Smith normal form with transforms (smith) is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 from . import intmat
 from .arith import xgcd
-from .errors import BadInvariants, NotFullRank
+from .errors import BadInvariants, InternalInconsistency, NotFullRank
 from .projline import ProjPoint, class_of
 
 Rows = tuple[tuple[int, int], tuple[int, int]]
@@ -84,7 +88,7 @@ def intersect(m1: Lattice2, m2: Lattice2) -> Lattice2:
 
 
 def smith(lat: Lattice2) -> SmithData:
-    """Smith normal form of the canonical basis, with both transforms."""
+    """Test oracle: Smith normal form of the canonical basis, with both transforms."""
     D, U, V = intmat.smith_normal_form([list(r) for r in lat.rows])
     return SmithData(
         d1=D[0][0],
@@ -94,21 +98,35 @@ def smith(lat: Lattice2) -> SmithData:
     )
 
 
+def invariants(lat: Lattice2) -> tuple[int, int, ProjPoint]:
+    """The invariants (d1, d2) of Z^2/M and the point of M mod d = d2/d1.
+
+    With d1 = gcd(r11, r12, r22) and (a, b, c) = (r11, r12, r22)/d1, the
+    quotient Z^2/(M/d1) is cyclic of order d = a*c, so d*Z^2 lies in M/d1
+    and M/d1 maps onto a line of (Z/d)^2.  That line contains every row
+    (a, b + k*c), which is unimodular as soon as gcd(a, b + k*c) = 1.
+    Such a k exists below a: for each prime p | a, gcd(a, b, c) = 1 rules
+    out at most one residue of k mod p, and CRT avoids them all.
+    """
+    (r11, r12), (_, r22) = lat.rows
+    d1 = math.gcd(r11, r12, r22)
+    a, b, c = r11 // d1, r12 // d1, r22 // d1
+    d = a * c
+    for k in range(a):
+        if math.gcd(a, b + k * c) == 1:
+            return d1, d1 * d, class_of(a, b + k * c, d)
+    raise InternalInconsistency(f"no unimodular row (a, b + k*c) for k < a in {lat}")
+
+
 def proj_invariant(lat: Lattice2) -> ProjPoint:
     """The classifying projective point of the lattice, mod d = d2/d1.
 
-    With U * A * V = diag(d1, d2), the rows of U * A = diag(d1, d2) * V^-1
-    form a basis {d1*(x, y), d2*(z, w)} with (x y; z w) unimodular; the
-    class [x:y] mod d is independent of every choice made along the way.
+    It is the line that M/d1 spans in (Z/d)^2, read off the HNF as the
+    class of its first unimodular row (a, b + k*c); see invariants.  The
+    class is the one the Smith route gives, [x:y] for a Smith basis
+    {d1*(x, y), d2*(z, w)} of M with (x y; z w) unimodular.
     """
-    sd = smith(lat)
-    d = sd.d2 // sd.d1
-    if d == 1:
-        return ProjPoint(1, 0, 0)
-    (v00, v01), (v10, v11) = sd.right
-    detv = v00 * v11 - v01 * v10  # +1 or -1
-    x, y = detv * v11, -detv * v01  # first row of right^-1
-    return class_of(x, y, d)
+    return invariants(lat)[2]
 
 
 def proj_invariant_bruteforce(lat: Lattice2, height: int = 40) -> ProjPoint:
@@ -141,20 +159,21 @@ def proj_invariant_bruteforce(lat: Lattice2, height: int = 40) -> ProjPoint:
 
 
 def reconstruct(d1: int, d2: int, p: ProjPoint) -> Lattice2:
-    """The unique lattice with Smith invariants (d1, d2) and point p mod d2/d1.
+    """The unique lattice with invariants (d1, d2) and point p mod d = d2/d1.
 
-    Completes the canonical coprime pair (a, b) of p to a determinant-one
-    matrix via the canonical Bezout pair from xgcd and scales the rows by
-    d1 and d2.
+    The canonical representative (g, x) of p has g | d and gcd(g, x) = 1,
+    so d1 times the span of (g, x) and (0, d/g) has index d1*d2 and point
+    p; reducing x mod d/g puts that basis in canonical form.  The class
+    [0:1] (and the single class mod 1) gives ((d2, 0), (0, d1)).
     """
     if d1 < 1 or d2 < 1 or d2 % d1 != 0:
         raise BadInvariants(f"need d1 | d2 with d1, d2 >= 1, got ({d1}, {d2})")
     d = d2 // d1
     if p.modulus != d:
         raise BadInvariants(f"point modulus {p.modulus} != d2/d1 = {d}")
-    if d == 1:
-        return Lattice2(((d1, 0), (0, d2)))
     pt = class_of(p.a, p.b, d)
-    a, b = pt.a, pt.b
-    _, x1, y1 = xgcd(a, b)  # a*x1 + b*y1 = 1, so (a b; -y1 x1) has det 1
-    return Lattice2(_hnf2((d1 * a, d1 * b), (-d2 * y1, d2 * x1)))
+    g = pt.a
+    if g == 0:
+        return Lattice2(((d2, 0), (0, d1)))
+    c = d // g
+    return Lattice2(((d1 * g, d1 * (pt.b % c)), (0, d1 * c)))

@@ -35,6 +35,11 @@ Hnf2 = tuple[tuple[int, int], tuple[int, int]]
 #: modular square root and one 2x2 HNF.
 PRIMES_ABOVE_CACHE_SIZE = 1024
 
+#: The number of validated rings ring() keeps; a miss costs one
+#: factorization of |D|.  An evicted ring stays compatible with live
+#: elements, because rings compare by D (see _same_ring).
+RING_CACHE_SIZE = 256
+
 
 @dataclass(frozen=True, order=True)
 class QuadRing:
@@ -80,7 +85,7 @@ class QuadRing:
         return f"Q(sqrt({self.d}))"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RING_CACHE_SIZE)
 def ring(d: int) -> QuadRing:
     """Validated ring of integers for squarefree D < 0."""
     if d >= 0:

@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cotorsion
 from cotorsion.cli import main
 
 
@@ -217,6 +225,17 @@ class TestDeterminism:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_python_dash_m_matches_main(self, capsys):
+        argv = ["lattice", "invariants", "--rows", "1,2;3,4"]
+        src = str(Path(cotorsion.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "cotorsion", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == run(capsys, *argv)[1]
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["lattice", "enumerate"])
@@ -234,6 +253,75 @@ class TestDeterminism:
             main(list(argv))
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+_INT = st.integers(-50, 50).map(str)
+_MALFORMED = st.sampled_from(
+    ["", " ", "a", "1.5", "--", ";", ",", ":", "1:", ":2", "1:2:3", "1;2", "x:y",
+     "1,2;3", "1,2;3,4;", "1,,2", ";1,2;3,4", "1,2;3,4;5,6", "1,2,3;4,5"]
+)
+_ROWS = st.one_of(
+    st.tuples(_INT, _INT, _INT, _INT).map(lambda t: f"{t[0]},{t[1]};{t[2]},{t[3]}"),
+    _MALFORMED,
+)
+_POINT = st.one_of(st.tuples(_INT, _INT).map(":".join), _MALFORMED)
+_MODULI = st.one_of(st.lists(_INT, min_size=1, max_size=3).map(",".join), _MALFORMED)
+_VALUE = st.one_of(_INT, _MALFORMED)
+
+
+def _opt(flag, value):
+    """A flag and its value, as two tokens or attached with '='."""
+    return st.one_of(
+        st.tuples(st.just(flag), value).map(list),
+        value.map(lambda v: [f"{flag}={v}"]),
+    )
+
+
+def _command(*parts):
+    return st.tuples(*parts).map(lambda ps: [t for p in ps for t in p])
+
+
+_FUZZ_ARGV = st.tuples(
+    st.one_of(st.just([]), st.sampled_from(["json", "text", "csv"]).map(lambda f: ["--format", f])),
+    st.one_of(
+        _command(st.just(["pf1", "list"]), _opt("--mod", _VALUE)),
+        _command(st.just(["pf1", "card"]), _opt("--mod", _VALUE)),
+        _command(st.just(["pf1", "crt"]), _opt("--mod", _VALUE), _opt("--split", _MODULI)),
+        _command(st.just(["lattice", "invariants"]), _opt("--rows", _ROWS)),
+        _command(
+            st.just(["lattice", "reconstruct"]),
+            _opt("--d1", _VALUE), _opt("--d2", _VALUE), _opt("--point", _POINT),
+        ),
+        _command(
+            st.just(["lattice", "enumerate"]), _opt("--index", _VALUE),
+            st.sampled_from([[], ["--oracle"]]),
+        ),
+        st.lists(
+            st.one_of(
+                st.sampled_from(["pf1", "lattice", "list", "card", "crt", "invariants",
+                                 "reconstruct", "enumerate", "--mod", "--split", "--rows",
+                                 "--d1", "--d2", "--point", "--index", "--oracle"]),
+                _VALUE, _ROWS, _POINT,
+            ),
+            max_size=8,
+        ),
+    ),
+).map(lambda t: t[0] + t[1])
+
+
+@settings(deadline=None, max_examples=400)
+@given(_FUZZ_ARGV)
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert "error" in json.loads(out.getvalue().splitlines()[-1])
 
 
 # stdout of okmod calls recorded before classification and reconstruction
@@ -256,6 +344,18 @@ GOLDEN_ZETA = json.loads((Path(__file__).parent / "golden_zeta.json").read_text(
 
 @pytest.mark.parametrize("case", GOLDEN_ZETA, ids=lambda c: " ".join(c["argv"]))
 def test_zeta_golden_output(capsys, case):
+    code, out = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out == case["stdout"]
+
+
+# stdout of lattice calls in json and text, recorded while classification
+# still went through the Smith normal form with transforms
+GOLDEN_LATTICE = json.loads((Path(__file__).parent / "golden_lattice.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_LATTICE, ids=lambda c: " ".join(c["argv"]))
+def test_lattice_golden_output(capsys, case):
     code, out = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == case["stdout"]

@@ -2,10 +2,11 @@ import math
 
 import pytest
 
+from cotorsion import cli, intmat
 from cotorsion.arith import sigma
 from cotorsion.errors import OutOfRange
 from cotorsion.latenum import classify, enumerate_index, hnf_oracle, strata
-from cotorsion.lattice2 import Lattice2, smith
+from cotorsion.lattice2 import Lattice2, reconstruct, smith
 from cotorsion.projline import class_of
 
 
@@ -90,3 +91,23 @@ class TestClassify:
                 (d1, _, d), _ = classify(lat)
                 (r11, r12), (_, r22) = lat.rows
                 assert (math.gcd(r11, r12, r22) == 1) == (d1 == 1) == (d == n)
+
+
+class TestNoSmithOnLibraryPath:
+    def test_classify_and_rebuild_without_snf(self, monkeypatch, capsys):
+        # the closed forms replace the SNF: make any call to it fail
+        def refuse(rows):
+            raise AssertionError("smith_normal_form called on a library path")
+
+        monkeypatch.setattr(intmat, "smith_normal_form", refuse)
+        for n in (1, 12, 36, 60):
+            for lat in enumerate_index(n):
+                (d1, d2, _), point = classify(lat)
+                assert reconstruct(d1, d2, point) == lat
+        for argv in (
+            ["lattice", "invariants", "--rows", "4,2;0,6"],
+            ["lattice", "reconstruct", "--d1", "2", "--d2", "12", "--point", "2:1"],
+            ["lattice", "enumerate", "--index", "36"],
+        ):
+            assert cli.main(argv) == 0
+        capsys.readouterr()

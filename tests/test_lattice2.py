@@ -1,20 +1,24 @@
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from cotorsion import intmat
 from cotorsion.arith import xgcd
-from cotorsion.errors import BadInvariants, NotFullRank
+from cotorsion.errors import BadInvariants, InternalInconsistency, NotFullRank
 from cotorsion.lattice2 import (
     Lattice2,
     contains,
     from_rows,
     intersect,
+    invariants,
     proj_invariant,
     proj_invariant_bruteforce,
     reconstruct,
     smith,
 )
-from cotorsion.latenum import hnf_oracle
+from cotorsion.latenum import classify, hnf_oracle
 from cotorsion.projline import ProjPoint, class_of, enumerate_points
 
 
@@ -206,3 +210,54 @@ class TestContainsIntersect:
             for y in range(-8, 9):
                 both = contains(m1, (x, y)) and contains(m2, (x, y))
                 assert contains(cap, (x, y)) == both
+
+
+def snf_route(lat):
+    """The Smith route the closed forms replaced: (d1, d2) from the SNF
+    diagonal, the point as the class of the first row of right^-1 mod d."""
+    D, _, V = intmat.smith_normal_form([list(r) for r in lat.rows])
+    d1, d2 = D[0][0], D[1][1]
+    d = d2 // d1
+    if d == 1:
+        return d1, d2, ProjPoint(1, 0, 0)
+    (v00, v01), (v10, v11) = V
+    detv = v00 * v11 - v01 * v10
+    return d1, d2, class_of(detv * v11, -detv * v01, d)
+
+
+def check_closed_form(lat):
+    d1, d2, point = invariants(lat)
+    assert (d1, d2, point) == snf_route(lat)
+    assert proj_invariant(lat) == point
+    (s_d1, s_d2, s_d), s_point = classify(lat)
+    assert (s_d1, s_d2, s_d, s_point) == (d1, d2, d2 // d1, point)
+    assert reconstruct(s_d1, s_d2, s_point) == lat
+
+
+class TestClosedForm:
+    def test_matches_smith_route_exhaustive(self):
+        # every lattice of index <= 150: invariants, point and round trip
+        for n in range(1, 151):
+            for lat in hnf_oracle(n):
+                check_closed_form(lat)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.integers(-200, 200), min_size=4, max_size=4))
+    @example([-200, 199, 197, -200])
+    @example([0, 7, 12, 0])
+    @example([6, 4, 0, 18])
+    def test_matches_smith_route_random_rows(self, entries):
+        a, b, c, d = entries
+        assume(a * d - b * c != 0)
+        check_closed_form(from_rows((a, b), (c, d)))
+
+    def test_reconstruct_reduces_second_entry(self):
+        # [3:2] mod 6 has x = 2 >= d/g = 2, so the basis row is reduced
+        assert class_of(3, 2, 6) == ProjPoint(6, 3, 2)
+        assert reconstruct(1, 6, ProjPoint(6, 3, 2)).rows == ((3, 0), (0, 2))
+
+    def test_point_search_is_bounded(self):
+        # r11 = 0 is no canonical basis: the k-scan below a = 0 finds
+        # nothing and raises instead of looping
+        with pytest.raises(InternalInconsistency):
+            invariants(Lattice2(((0, 1), (0, 1))))

@@ -5,6 +5,7 @@ import pytest
 
 from cotorsion.errors import DegenerateInput, NonComaximal, SearchExhausted, ZeroIdeal
 from cotorsion.quadring import (
+    RING_CACHE_SIZE,
     PrimeAbove,
     QuadIdeal,
     element_avoiding,
@@ -51,6 +52,29 @@ class TestRing:
             ring(-4)
         with pytest.raises(DegenerateInput):
             ring(-12)
+
+    def test_cache_is_bounded_and_eviction_is_harmless(self):
+        assert ring.cache_info().maxsize == RING_CACHE_SIZE
+        before = ring(-1)
+        a = before.element(1, 1)
+        I = ideal_from_generators(before, [a])
+        built, d = 0, -2
+        while built <= RING_CACHE_SIZE:
+            try:
+                ring(d)
+                built += 1
+            except DegenerateInput:
+                pass
+            d -= 1
+        assert ring.cache_info().currsize <= RING_CACHE_SIZE
+        after = ring(-1)
+        assert after is not before and after == before
+        b = after.element(2, -1)
+        assert a * b == b * a == before.element(3, 1)
+        assert (a + b).ring == after
+        J = ideal_from_generators(after, [b])
+        assert ideal_mul(I, J).norm == I.norm * J.norm == 10
+        assert primes_above(after, 5) == primes_above(before, 5)
 
     def test_units(self):
         assert len(KI.units()) == 4
