@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import dirichlet, latenum, lattice2, okmodules, okproj, projline, quadring
-from .errors import BadInvariants, CotorsionError
+from .errors import BadInvariants, CotorsionError, OutOfRange
 
 
 def _out(args, obj, text: str) -> None:
@@ -182,6 +182,8 @@ def cmd_zeta(args) -> int:
         if args.disc is None:
             raise _usage_error(f"--series {args.series} requires --disc")
         K = quadring.ring(args.disc)
+    if args.nmax > dirichlet.SERIES_BOUND:
+        raise OutOfRange(f"n_max = {args.nmax} exceeds the series bound {dirichlet.SERIES_BOUND}")
     if args.check_identity:
         reports = _identity_reports(args.series, K, args.nmax)
         obj = [

@@ -22,6 +22,10 @@ from itertools import islice
 from .errors import BadLength
 from .quadring import QuadRing, kronecker
 
+#: the CLI refuses to build series longer than this; each series holds
+#: n_max Python ints, and an identity check holds several at once.
+SERIES_BOUND = 10**6
+
 
 @dataclass(frozen=True)
 class DirichletSeries:

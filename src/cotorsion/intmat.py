@@ -1,5 +1,8 @@
 """Exact integer matrix algorithms: Hermite and Smith normal forms, kernels.
 
+Every rank-2 lattice in Z^2 (a sublattice of Z^2, an ideal of O in the
+basis (1, w)) is canonicalized by one kernel, hnf2, and tested for
+membership by hnf2_contains; row_hnf serves the 4-column module work.
 No classification path computes a Smith normal form; the library reads
 invariants off HNF bases, and smith_normal_form stays as the tests' oracle.
 
@@ -16,9 +19,47 @@ makes set-level equality of lattices, ideals and modules decidable.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .arith import xgcd
 
 Matrix = list[list[int]]
+
+#: canonical HNF ((a, b), (0, c)) of a rank-2 lattice in Z^2, a, c >= 1, 0 <= b < c
+Hnf2 = tuple[tuple[int, int], tuple[int, int]]
+
+
+def hnf2(rows) -> Hnf2 | None:
+    """Canonical HNF of the lattice in Z^2 spanned by ``rows``; None below rank 2.
+
+    Folds the rows into a basis (a, b), (0, c) one at a time.  The first
+    row with x != 0 becomes (a, b) as it is; each later one is merged by
+    one xgcd: s*a + r*x = g, and the combination (a/g)*(x, y) - (x/g)*(a, b)
+    has first coordinate 0, so it only updates c by a gcd; a row with
+    x = 0 does that directly.
+    """
+    a = b = c = 0
+    for x, y in rows:
+        if x == 0:
+            c = gcd(c, y)
+        elif a == 0:
+            a, b = x, y
+        else:
+            g, s, r = xgcd(a, x)
+            a, b, c = g, s * b + r * y, gcd(c, (a // g) * y - (x // g) * b)
+    if a == 0 or c == 0:
+        return None
+    if a < 0:
+        a, b = -a, -b
+    return ((a, b % c), (0, c))
+
+
+def hnf2_contains(h: Hnf2, x: int, y: int) -> bool:
+    """Whether (x, y) lies in the lattice with canonical HNF h."""
+    (a, b), (_, c) = h
+    if x % a:
+        return False
+    return (y - (x // a) * b) % c == 0
 
 
 def _eliminate(rows: Matrix, trans: Matrix | None, pr: int, i: int, col: int) -> None:
@@ -121,11 +162,6 @@ def solve_in_lattice(hnf_rows, target) -> list[int] | None:
 
 def in_lattice(hnf_rows, target) -> bool:
     return solve_in_lattice(hnf_rows, target) is not None
-
-
-def lattice_contains(hnf_outer, hnf_inner) -> bool:
-    """Whether the span of hnf_inner is contained in the span of hnf_outer."""
-    return all(in_lattice(hnf_outer, row) for row in hnf_inner)
 
 
 def left_kernel(rows) -> Matrix:

@@ -1,7 +1,8 @@
 """Finite-index sublattices of Z^2 and their classifying invariants.
 
 A sublattice is stored by its canonical row Hermite basis
-((r11, r12), (0, r22)) with r11, r22 >= 1 and 0 <= r12 < r22, so two
+((r11, r12), (0, r22)) with r11, r22 >= 1 and 0 <= r12 < r22, as built
+and tested by the shared 2x2 kernel intmat.hnf2 / hnf2_contains, so two
 lattices are equal as sets iff their matrices are equal.  The invariants
 d1 | d2 of Z^2/M = Z/d1 + Z/d2 together with a projective-line point
 mod d2/d1 classify the lattice completely; reconstruct inverts the
@@ -17,18 +18,15 @@ import math
 from dataclasses import dataclass
 
 from . import intmat
-from .arith import xgcd
 from .errors import BadInvariants, InternalInconsistency, NotFullRank
 from .projline import ProjPoint, class_of
-
-Rows = tuple[tuple[int, int], tuple[int, int]]
 
 
 @dataclass(frozen=True, order=True)
 class Lattice2:
     """A finite-index sublattice of Z^2 in canonical HNF basis form."""
 
-    rows: Rows
+    rows: intmat.Hnf2
 
     @property
     def index(self) -> int:
@@ -49,36 +47,22 @@ class SmithData:
 
     d1: int
     d2: int
-    left: Rows
-    right: Rows
-
-
-def _hnf2(v1, v2) -> Rows:
-    a, b = v1
-    c, d = v2
-    det = a * d - b * c
-    if det == 0:
-        raise NotFullRank(f"rows {v1}, {v2} are linearly dependent")
-    if a == 0 and c == 0:
-        raise NotFullRank(f"rows {v1}, {v2} span a rank-1 lattice")
-    g, s, t = xgcd(a, c)
-    r22 = abs(det) // g
-    r12 = (s * b + t * d) % r22
-    return ((g, r12), (0, r22))
+    left: tuple[tuple[int, int], tuple[int, int]]
+    right: tuple[tuple[int, int], tuple[int, int]]
 
 
 def from_rows(v1, v2) -> Lattice2:
     """Canonical HNF lattice spanned by the two rows; NotFullRank if dependent."""
-    return Lattice2(_hnf2(tuple(v1), tuple(v2)))
+    rows = intmat.hnf2((v1, v2))
+    if rows is None:
+        raise NotFullRank(f"rows {tuple(v1)}, {tuple(v2)} are linearly dependent")
+    return Lattice2(rows)
 
 
 def contains(lat: Lattice2, v) -> bool:
     """Membership of an integer vector, by back-substitution against the HNF."""
-    (r11, r12), (_, r22) = lat.rows
     x, y = v
-    if x % r11 != 0:
-        return False
-    return (y - (x // r11) * r12) % r22 == 0
+    return intmat.hnf2_contains(lat.rows, x, y)
 
 
 def intersect(m1: Lattice2, m2: Lattice2) -> Lattice2:

@@ -158,10 +158,11 @@ def full_module(K: QuadRing) -> CotorsionModule:
 
 
 def annihilator(M: CotorsionModule) -> QuadIdeal:
-    """The ideal {x in O : x * O^2 within M} = second invariant factor ideal.
+    """Test oracle: the ideal {x in O : x * O^2 within M}, which is K.
 
     For each basis vector e_i, {x : x*e_i in M} is the projection of an
-    integer kernel; the annihilator is the intersection of the two.
+    integer kernel; the annihilator is the intersection of the two.  The
+    library reads K off the content and minor ideals (invariant_ideals).
     """
     K = M.ring
     rows = [list(r) for r in M.hnf4]
@@ -169,29 +170,22 @@ def annihilator(M: CotorsionModule) -> QuadIdeal:
     for embed in (lambda c: [c[0], c[1], 0, 0], lambda c: [0, 0, c[0], c[1]]):
         # x*e_1 has coordinates (x1, x2, 0, 0), x*e_2 has (0, 0, x1, x2);
         # x*e_i in M for both i suffices since M is an O-module
-        stacked = [
-            embed([1, 0]),
-            embed([0, 1]),
-        ] + rows
-        kernel = intmat.left_kernel(stacked)
-        proj = intmat.row_hnf([k[:2] for k in kernel])
-        parts.append(proj)
+        kernel = intmat.left_kernel([embed([1, 0]), embed([0, 1])] + rows)
+        parts.append(intmat.row_hnf([k[:2] for k in kernel]))
     meet = intmat.lattice_intersect(parts[0], parts[1])
-    return _ideal_from_rows(K, meet)
-
-
-def _ideal_from_rows(K: QuadRing, rows) -> QuadIdeal:
-    gens = [QuadInt(K, r[0], r[1]) for r in rows]
-    return ideal_from_generators(K, gens)
+    return ideal_from_generators(K, [QuadInt(K, *r) for r in meet])
 
 
 def invariant_ideals(M: CotorsionModule) -> tuple[QuadIdeal, QuadIdeal]:
     """(L, K) with L >= K and O^2/M isomorphic to O/L + O/K.
 
-    K is the annihilator; the ideal of 2x2 determinants over the basis
-    pairs equals L*K, and L is recovered as the colon ideal (L*K : K).
+    M = L*v + K*O^2 with v unimodular mod I = K/L, so the content ideal
+    of M, the Z-span of the coordinates of its basis pairs (an ideal,
+    since M is w-stable), is L*<v1, v2> + L*I = L.  The ideal of 2x2
+    determinants over the basis pairs is L*K, and K is the colon ideal
+    (L*K : L).
     """
-    Kann = annihilator(M)
+    L = QuadIdeal(M.ring, intmat.hnf2([r[:2] for r in M.hnf4] + [r[2:] for r in M.hnf4]))
     pairs = M.basis_pairs()
     dets = []
     for i in range(4):
@@ -199,8 +193,8 @@ def invariant_ideals(M: CotorsionModule) -> tuple[QuadIdeal, QuadIdeal]:
             ai, bi = pairs[i]
             aj, bj = pairs[j]
             dets.append(ai * bj - aj * bi)
-    LK = ideal_from_generators(M.ring, [d for d in dets if not d.is_zero()])
-    L = ideal_quotient(LK, Kann)
+    LK = ideal_from_generators(M.ring, dets)
+    Kann = ideal_quotient(LK, L)
     if not L.contains_ideal(Kann):
         raise InternalInconsistency(f"invariant ideals of {M} not nested: {L}, {Kann}")
     if L.norm * Kann.norm != M.quotient_size:

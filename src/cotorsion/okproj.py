@@ -76,23 +76,15 @@ class OkProjPoint:
 def is_coprime_pair(a: QuadInt, b: QuadInt) -> bool:
     """Whether <a> + <b> = O globally."""
     w = a.ring.omega
-    rows = []
-    for g in (a, b):
-        if not g.is_zero():
-            rows.append(list(g.coords()))
-            rows.append(list((g * w).coords()))
-    return intmat.row_hnf(rows) == [[1, 0], [0, 1]] if rows else False
+    rows = (a.coords(), (a * w).coords(), b.coords(), (b * w).coords())
+    return intmat.hnf2(rows) == ((1, 0), (0, 1))
 
 
 def is_unimodular_pair(a: QuadInt, b: QuadInt, I: QuadIdeal) -> bool:
     """Whether <a> + <b> + I = O."""
     w = I.ring.omega
-    rows = [list(r) for r in I.hnf]
-    for g in (a, b):
-        if not g.is_zero():
-            rows.append(list(g.coords()))
-            rows.append(list((g * w).coords()))
-    return intmat.row_hnf(rows) == [[1, 0], [0, 1]]
+    rows = I.hnf + (a.coords(), (a * w).coords(), b.coords(), (b * w).coords())
+    return intmat.hnf2(rows) == ((1, 0), (0, 1))
 
 
 def prime_divisors(I: QuadIdeal) -> list[QuadIdeal]:

@@ -8,7 +8,10 @@ definite, which keeps every principality / avoidance search finite.
 Ideals are stored by their canonical Z-basis in coordinates (1, w): a
 row-HNF matrix ((r11, r12), (0, r22)) whose span is closed under
 multiplication by w.  Ideal equality is matrix equality and the norm is
-the determinant r11 * r22 = |O/I|.
+the determinant r11 * r22 = |O/I|.  Every constructor folds its Z-span
+through the shared 2x2 kernel intmat.hnf2, and membership is
+intmat.hnf2_contains; only intersections, colon ideals and express_one
+go through the general row HNF.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from .errors import (
     ZeroIdeal,
 )
 from .search import shells
-
-Hnf2 = tuple[tuple[int, int], tuple[int, int]]
 
 #: The number of (ring, p) results primes_above keeps; a miss costs one
 #: modular square root and one 2x2 HNF.
@@ -192,7 +193,7 @@ class QuadIdeal:
     """
 
     ring: QuadRing
-    hnf: Hnf2
+    hnf: intmat.Hnf2
 
     @property
     def norm(self) -> int:
@@ -205,10 +206,7 @@ class QuadIdeal:
         )
 
     def contains(self, el: QuadInt) -> bool:
-        (r11, r12), (_, r22) = self.hnf
-        if el.x % r11 != 0:
-            return False
-        return (el.y - (el.x // r11) * r12) % r22 == 0
+        return intmat.hnf2_contains(self.hnf, el.x, el.y)
 
     def contains_ideal(self, other: "QuadIdeal") -> bool:
         """Whether other is a subset of self."""
@@ -235,22 +233,21 @@ class QuadIdeal:
         return f"ideal<({a},{b}),(0,{c})> of {self.ring}"
 
 
-def _is_omega_closed(K: QuadRing, rows) -> bool:
-    for row in rows:
-        el = QuadInt(K, row[0], row[1]) * K.omega
-        if intmat.solve_in_lattice(rows, el.coords()) is None:
-            return False
-    return True
+def _is_omega_closed(K: QuadRing, hnf: intmat.Hnf2) -> bool:
+    w = K.omega
+    return all(
+        intmat.hnf2_contains(hnf, *(QuadInt(K, x, y) * w).coords()) for x, y in hnf
+    )
 
 
 def ideal_from_hnf(K: QuadRing, rows) -> QuadIdeal:
     """Validated ideal from an explicit basis matrix (e.g. deserialization)."""
-    hnf = intmat.row_hnf([list(r) for r in rows])
-    if len(hnf) != 2:
+    hnf = intmat.hnf2(rows)
+    if hnf is None:
         raise ZeroIdeal(f"rows {rows} do not span a rank-2 lattice")
     if not _is_omega_closed(K, hnf):
         raise DegenerateInput(f"lattice {rows} is not an ideal of {K}")
-    return QuadIdeal(K, (tuple(hnf[0]), tuple(hnf[1])))
+    return QuadIdeal(K, hnf)
 
 
 def ideal_from_generators(K: QuadRing, gens) -> QuadIdeal:
@@ -258,14 +255,12 @@ def ideal_from_generators(K: QuadRing, gens) -> QuadIdeal:
     rows = []
     w = K.omega
     for g in gens:
-        if g.is_zero():
-            continue
-        rows.append(list(g.coords()))
-        rows.append(list((g * w).coords()))
-    if not rows:
+        rows.append(g.coords())
+        rows.append((g * w).coords())
+    hnf = intmat.hnf2(rows)
+    if hnf is None:
         raise ZeroIdeal("all generators are zero")
-    hnf = intmat.row_hnf(rows)
-    return QuadIdeal(K, (tuple(hnf[0]), tuple(hnf[1])))
+    return QuadIdeal(K, hnf)
 
 
 def unit_ideal(K: QuadRing) -> QuadIdeal:
@@ -275,9 +270,7 @@ def unit_ideal(K: QuadRing) -> QuadIdeal:
 def ideal_mul(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
     """Product ideal: span of the pairwise products of the Z-bases."""
     K = _same_ring(I, J)
-    rows = [(a * b).coords() for a in I.basis() for b in J.basis()]
-    hnf = intmat.row_hnf([list(r) for r in rows])
-    return QuadIdeal(K, (tuple(hnf[0]), tuple(hnf[1])))
+    return QuadIdeal(K, intmat.hnf2((a * b).coords() for a in I.basis() for b in J.basis()))
 
 
 def ideal_pow(I: QuadIdeal, k: int) -> QuadIdeal:
@@ -288,10 +281,7 @@ def ideal_pow(I: QuadIdeal, k: int) -> QuadIdeal:
 
 
 def ideal_sum(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
-    _same_ring(I, J)
-    rows = [list(b.coords()) for b in I.basis()] + [list(b.coords()) for b in J.basis()]
-    hnf = intmat.row_hnf(rows)
-    return QuadIdeal(I.ring, (tuple(hnf[0]), tuple(hnf[1])))
+    return QuadIdeal(_same_ring(I, J), intmat.hnf2(I.hnf + J.hnf))
 
 
 def ideal_intersect(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
@@ -303,9 +293,7 @@ def ideal_intersect(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
 
 
 def ideal_conj(I: QuadIdeal) -> QuadIdeal:
-    rows = [list(b.conj().coords()) for b in I.basis()]
-    hnf = intmat.row_hnf(rows)
-    return QuadIdeal(I.ring, (tuple(hnf[0]), tuple(hnf[1])))
+    return QuadIdeal(I.ring, intmat.hnf2(b.conj().coords() for b in I.basis()))
 
 
 def ideal_quotient(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
@@ -477,16 +465,12 @@ def is_principal(I: QuadIdeal) -> QuadInt | None:
 def express_one(I: QuadIdeal, J: QuadIdeal) -> tuple[QuadInt, QuadInt]:
     """(a, b) with a in I, b in J and a + b = 1; NonComaximal if I + J != O."""
     _same_ring(I, J)
-    rows = [list(b.coords()) for b in I.basis()] + [list(b.coords()) for b in J.basis()]
-    hnf, trans = intmat.row_hnf_with_transform(rows)
-    coeffs = intmat.solve_in_lattice([r for r in hnf if any(r)], [1, 0])
-    if coeffs is None:
+    # the rows span I + J, which contains 1 iff its HNF is the identity;
+    # then the first row of the transform writes 1 in the four rows
+    hnf, trans = intmat.row_hnf_with_transform(I.hnf + J.hnf)
+    if hnf[:2] != [[1, 0], [0, 1]]:
         raise NonComaximal(f"{I} + {J} is not the unit ideal")
-    coeffs = coeffs + [0] * (len(hnf) - len(coeffs))
-    full = [
-        sum(coeffs[i] * trans[i][j] for i in range(len(trans)))
-        for j in range(len(rows))
-    ]
+    full = trans[0]
     bi = I.basis()
     bj = J.basis()
     a = bi[0] * full[0] + bi[1] * full[1]

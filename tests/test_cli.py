@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cotorsion
+from cotorsion import dirichlet
 from cotorsion.cli import main
 
 
@@ -120,6 +121,27 @@ class TestZeta:
     def test_dedekind_requires_disc(self, capsys):
         with pytest.raises(SystemExit):
             main(["zeta", "--series", "dedekind", "--nmax", "5"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("zeta", "--series", "pf1", "--nmax", "1000001"),
+            ("--format", "csv", "zeta", "--series", "sigma", "--nmax", "1000001"),
+            ("--format", "text", "zeta", "--series", "z2", "--nmax", "1000001",
+             "--check-identity"),
+            ("zeta", "--series", "ok-z2", "--disc", "-5", "--nmax", "1000001",
+             "--check-identity"),
+        ],
+    )
+    def test_nmax_above_series_bound(self, capsys, argv):
+        # refused before any series is built: one error line, no coefficients
+        assert dirichlet.SERIES_BOUND == 10**6
+        code, out = run(capsys, *argv)
+        assert code == 1
+        assert out.splitlines() == [json.dumps({
+            "error": "OutOfRange",
+            "message": "n_max = 1000001 exceeds the series bound 1000000",
+        })]
 
 
 class TestIdeal:
@@ -267,6 +289,15 @@ _ROWS = st.one_of(
 _POINT = st.one_of(st.tuples(_INT, _INT).map(":".join), _MALFORMED)
 _MODULI = st.one_of(st.lists(_INT, min_size=1, max_size=3).map(",".join), _MALFORMED)
 _VALUE = st.one_of(_INT, _MALFORMED)
+_SERIES = st.one_of(
+    st.sampled_from(["z2", "sigma", "pf1", "dedekind", "ok-pf1", "ok-z2"]), _MALFORMED
+)
+# n_max in [-50, 50] plus values above the series bound, which must be
+# refused before anything is allocated
+_NMAX = st.one_of(
+    st.one_of(st.integers(-50, 50), st.sampled_from([10**6 + 1, 10**12])).map(str), _MALFORMED
+)
+_DISC = st.one_of(st.integers(-30, 5).map(str), _MALFORMED)
 
 
 def _opt(flag, value):
@@ -296,11 +327,17 @@ _FUZZ_ARGV = st.tuples(
             st.just(["lattice", "enumerate"]), _opt("--index", _VALUE),
             st.sampled_from([[], ["--oracle"]]),
         ),
+        _command(
+            st.just(["zeta"]), _opt("--series", _SERIES), _opt("--nmax", _NMAX),
+            st.one_of(st.just([]), _opt("--disc", _DISC)),
+            st.sampled_from([[], ["--check-identity"]]),
+        ),
         st.lists(
             st.one_of(
-                st.sampled_from(["pf1", "lattice", "list", "card", "crt", "invariants",
+                st.sampled_from(["pf1", "lattice", "zeta", "list", "card", "crt", "invariants",
                                  "reconstruct", "enumerate", "--mod", "--split", "--rows",
-                                 "--d1", "--d2", "--point", "--index", "--oracle"]),
+                                 "--d1", "--d2", "--point", "--index", "--oracle",
+                                 "--series", "--nmax", "--disc", "--check-identity"]),
                 _VALUE, _ROWS, _POINT,
             ),
             max_size=8,

@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cotorsion import intmat
 
 
@@ -48,6 +51,36 @@ class TestRowHnf:
             H, U = intmat.row_hnf_with_transform(A)
             assert intmat.mat_mul(U, A) == H
             assert intmat.det(U) in (1, -1)
+
+
+_ROWS2 = st.lists(
+    st.tuples(st.integers(-50, 50), st.integers(-50, 50)), min_size=1, max_size=8
+)
+
+
+class TestHnf2:
+    @settings(deadline=None, max_examples=500)
+    @given(_ROWS2)
+    def test_matches_row_hnf(self, rows):
+        H = intmat.row_hnf(rows)
+        h = intmat.hnf2(rows)
+        if len(H) < 2:
+            assert h is None
+        else:
+            assert h == (tuple(H[0]), tuple(H[1]))
+
+    @settings(deadline=None, max_examples=500)
+    @given(_ROWS2, st.integers(-120, 120), st.integers(-120, 120))
+    def test_contains_matches_in_lattice(self, rows, x, y):
+        h = intmat.hnf2(rows)
+        if h is not None:
+            assert intmat.hnf2_contains(h, x, y) == intmat.in_lattice(h, (x, y))
+
+    def test_rank_deficient_inputs(self):
+        assert intmat.hnf2([]) is None
+        assert intmat.hnf2([(0, 0), (0, 5)]) is None
+        assert intmat.hnf2([(2, 4), (-3, -6), (0, 0)]) is None
+        assert intmat.hnf2([(-2, 4), (0, -6)]) == ((2, 2), (0, 6))
 
 
 class TestKernel:

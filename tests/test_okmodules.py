@@ -199,6 +199,9 @@ class TestInvariantIdeals:
             for n in range(1, 13):
                 for L, Kid in invariant_pairs(K, n):
                     for M in enumerate_cotorsion(L, Kid)[:4]:
+                        # the kernel route to K is the oracle for the minor route
+                        assert invariant_ideals(M) == (L, Kid)
+                        assert annihilator(M) == Kid
                         got = intmat.smith_invariants([list(r) for r in M.hnf4])
                         expected = sorted(
                             intmat.smith_invariants([list(r) for r in L.hnf])
@@ -311,7 +314,8 @@ class TestProjInvariantElement:
 class TestInternalChecks:
     def test_check_survives_optimize_flag(self):
         # each check must raise even when python -O strips asserts: a wrong
-        # colon ideal breaks the index check of invariant_ideals, a wrong
+        # colon ideal breaks the index check of invariant_ideals (its module
+        # has L = (1+i) != O, so returning L*K for K is wrong), a wrong
         # ideal power breaks the reassembly in factor_ideal, a missing
         # primitive vector breaks latenum.classify, and rings must match
         script = textwrap.dedent(
@@ -329,9 +333,8 @@ class TestInternalChecks:
                 except error:
                     print("raised")
 
-            M = okmodules.module_from_generators(
-                K, [(K.one, K.one), (K.element(0), K.element(1, 1))]
-            )
+            g = K.element(1, 1)
+            M = okmodules.module_from_generators(K, [(g, g), (K.element(0), g * g)])
             okmodules.ideal_quotient = lambda I, J: I
             expect(InternalInconsistency, okmodules.invariant_ideals, M)
             I = quadring.ideal_from_generators(K, [K.element(6)])
