@@ -348,7 +348,7 @@ def cmd_okmod_intersect(args) -> int:
     if args.verify:
         report = okmodules.verify_intersection_theorem(mods)
         cap = report.intersection
-        data = okmodules.proj_invariant_element(cap)
+        data = report.invariants
         obj = {
             "intersection": cap.to_json(),
             "checks": {

@@ -33,7 +33,6 @@ from .errors import (
 )
 from .okproj import (
     OkProjPoint,
-    coprime_lift,
     is_unimodular_pair,
     line_point,
     ok_cardinality,
@@ -45,6 +44,7 @@ from .quadring import (
     QuadIdeal,
     QuadInt,
     QuadRing,
+    express_one,
     ideal_from_generators,
     ideal_mul,
     ideal_quotient,
@@ -60,8 +60,7 @@ Pair = tuple[QuadInt, QuadInt]
 #: enumerate_cotorsion refuses to materialize more modules than this.
 ENUMERATION_BOUND = 10**5
 
-#: default coefficient box for the witness-search oracle and the sampled
-#: witness check of verify_intersection_theorem
+#: default coefficient box for the witness-search oracle
 WITNESS_BOX = 25
 
 
@@ -181,20 +180,15 @@ def invariant_ideals(M: CotorsionModule) -> tuple[QuadIdeal, QuadIdeal]:
 
     M = L*v + K*O^2 with v unimodular mod I = K/L, so the content ideal
     of M, the Z-span of the coordinates of its basis pairs (an ideal,
-    since M is w-stable), is L*<v1, v2> + L*I = L.  The ideal of 2x2
-    determinants over the basis pairs is L*K, and K is the colon ideal
-    (L*K : L).
+    since M is w-stable), is L*<v1, v2> + L*I = L.  The canonical HNF of
+    M is [[A, T], [0, B]], where A is the first-coordinate ideal and B
+    the ideal M ∩ (0 ⊕ O); A*B = L*K, and K is the colon ideal (L*K : L).
     """
-    L = QuadIdeal(M.ring, intmat.hnf2([r[:2] for r in M.hnf4] + [r[2:] for r in M.hnf4]))
-    pairs = M.basis_pairs()
-    dets = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            ai, bi = pairs[i]
-            aj, bj = pairs[j]
-            dets.append(ai * bj - aj * bi)
-    LK = ideal_from_generators(M.ring, dets)
-    Kann = ideal_quotient(LK, L)
+    h = M.hnf4
+    L = QuadIdeal(M.ring, intmat.hnf2([r[:2] for r in h] + [r[2:] for r in h]))
+    A = QuadIdeal(M.ring, ((h[0][0], h[0][1]), (0, h[1][1])))
+    B = QuadIdeal(M.ring, ((h[2][2], h[2][3]), (0, h[3][3])))
+    Kann = ideal_quotient(ideal_mul(A, B), L)
     if not L.contains_ideal(Kann):
         raise InternalInconsistency(f"invariant ideals of {M} not nested: {L}, {Kann}")
     if L.norm * Kann.norm != M.quotient_size:
@@ -344,6 +338,7 @@ class IntersectionReport:
     """Outcome of the invariant checks on an intersection of modules."""
 
     intersection: CotorsionModule
+    invariants: OkInvariantData
     full_rank: bool
     ideals_multiply: bool
     point_joins: bool
@@ -359,16 +354,19 @@ class IntersectionReport:
         )
 
 
-def verify_intersection_theorem(
-    modules, t_samples: int = 3, box: int = WITNESS_BOX
-) -> IntersectionReport:
+def verify_intersection_theorem(modules) -> IntersectionReport:
     """Check the intersection of modules with pairwise comaximal annihilators.
 
     Checks: invariant ideals of the intersection are the products of
     the component ideals; its point is the CRT join of the component
-    points; and (t*a, t*b) lies in the intersection for several sampled
-    t in L avoiding L*P for every prime P of the product K, scanned by
-    coefficient box up to ``box`` against the basis of L.
+    points; and (t*a, t*b) lies in the intersection for (a, b) the
+    representative of the joined point and three t in L avoiding L*P for
+    every prime P of the product K.  The first t is the sum of e_P*l_P,
+    with e_P = 1 mod P and 0 mod the other primes (CRT idempotents) and
+    l_P a basis element of L outside L*P; the other two add one basis
+    element each of L * (product of the P), which leaves t mod every L*P.
+    No lift of (a, b) is needed: t*(v' - v) lies in L*I*O^2 = K*O^2 for
+    any v' = v mod I.
     """
     modules = list(modules)
     ring = modules[0].ring
@@ -396,26 +394,25 @@ def verify_intersection_theorem(
     point_joins = cap_data.point == joined
 
     # witness check: any valid t must carry the joined class into the intersection
-    if joined.modulus.is_unit_ideal():
-        a, b = ring.one, ring.element(0)
-    else:
-        a, b = coprime_lift(QuadInt(ring, *joined.a), QuadInt(ring, *joined.b), joined.modulus)
-    traps = [ideal_mul(prod_L, P) for P in prime_divisors(prod_K)]
-    found = 0
-    witnesses_ok = True
+    a, b = joined.rep()
+    primes = prime_divisors(prod_K)
+    radical = unit_ideal(ring)
+    for P in primes:
+        radical = ideal_mul(radical, P)
+    traps = [ideal_mul(prod_L, P) for P in primes]
     b0, b1 = prod_L.basis()
-    for c0, c1 in shells(2, box):
-        t = b0 * c0 + b1 * c1
-        if t.is_zero() or any(T.contains(t) for T in traps):
-            continue
-        if not cap.contains((t * a, t * b)):
-            witnesses_ok = False
-            break
-        found += 1
-        if found >= t_samples:
-            break
-    witnesses_ok = witnesses_ok and found >= t_samples
-    return IntersectionReport(cap, full_rank, ideals_multiply, point_joins, witnesses_ok)
+    t = ring.element(0)
+    for P, T in zip(primes, traps):
+        l_P = b1 if T.contains(b0) else b0
+        t = t + express_one(P, ideal_quotient(radical, P))[1] * l_P
+    samples = [t] + [t + c for c in ideal_mul(prod_L, radical).basis()]
+    witnesses_ok = all(
+        not any(T.contains(s) for T in traps) and cap.contains((s * a, s * b))
+        for s in samples
+    )
+    return IntersectionReport(
+        cap, cap_data, full_rank, ideals_multiply, point_joins, witnesses_ok
+    )
 
 
 def enumerate_cotorsion_bruteforce(K: QuadRing, n: int) -> list[CotorsionModule]:

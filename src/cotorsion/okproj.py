@@ -8,8 +8,8 @@ lexicographically least over the unit orbit.  The unimodular elements of
 the line O*(a, b) + I*O^2 in (O/I)^2 are exactly that orbit, so line_point
 finds the representative by scanning the N(I) elements of the line in
 lexicographic order.  Every residue-unimodular pair also lifts to a
-globally coprime pair; coprime_lift computes such a lift, bridging the
-two presentations.
+globally coprime pair; coprime_lift finds one by a bounded search and
+serves only as a test oracle, since no library check needs the lift.
 """
 
 from __future__ import annotations

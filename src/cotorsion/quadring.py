@@ -3,20 +3,21 @@
 The ring for a squarefree D < 0 is Z[w] with w = sqrt(D) when D = 2, 3
 (mod 4) and w = (1 + sqrt(D))/2 when D = 1 (mod 4); in both cases
 w^2 = t*w + u for integers (t, u), and the norm form is positive
-definite, which keeps every principality / avoidance search finite.
+definite: principality is a Lagrange-Gauss reduction of the Z-basis of
+an ideal under it, and the avoidance search (a test oracle) is finite.
 
 Ideals are stored by their canonical Z-basis in coordinates (1, w): a
 row-HNF matrix ((r11, r12), (0, r22)) whose span is closed under
 multiplication by w.  Ideal equality is matrix equality and the norm is
 the determinant r11 * r22 = |O/I|.  Every constructor folds its Z-span
 through the shared 2x2 kernel intmat.hnf2, and membership is
-intmat.hnf2_contains; only intersections, colon ideals and express_one
-go through the general row HNF.
+intmat.hnf2_contains.  Colon ideals and intersections are exact
+divisions by J * conj(J) = N(J) * O; only express_one goes through the
+general row HNF.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -285,33 +286,34 @@ def ideal_sum(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
 
 
 def ideal_intersect(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
-    _same_ring(I, J)
-    rows = intmat.lattice_intersect(
-        [list(r) for r in I.hnf], [list(r) for r in J.hnf]
-    )
-    return QuadIdeal(I.ring, (tuple(rows[0]), tuple(rows[1])))
+    """I ∩ J = I*J / (I + J), since (I ∩ J)(I + J) = I*J in a Dedekind domain."""
+    return _divide(ideal_mul(I, J), ideal_sum(I, J))
 
 
 def ideal_conj(I: QuadIdeal) -> QuadIdeal:
     return QuadIdeal(I.ring, intmat.hnf2(b.conj().coords() for b in I.basis()))
 
 
+def _divide(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
+    """I * J^-1 for I within J, as I * conj(J) / N(J).
+
+    J * conj(J) = N(J) * O in any maximal quadratic order, so I within J
+    puts I * conj(J) inside N(J) * O, and the division is exact.
+    """
+    n = J.norm
+    (a, b), (_, c) = ideal_mul(I, ideal_conj(J)).hnf
+    if a % n or b % n or c % n:
+        raise InternalInconsistency(f"{I} * conj({J}) is not divisible by {n}")
+    return QuadIdeal(I.ring, ((a // n, b // n), (0, c // n)))
+
+
 def ideal_quotient(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
     """The colon ideal (I : J) = {x in O : x*J within I}.
 
-    Uses J * conj(J) = N(J) * O, valid in any maximal quadratic order:
-    (I : J) = (I * conj(J) / N(J)) ∩ O = (I * conj(J) ∩ N(J)O) / N(J).
+    x*J lies in I iff x*(I + J) does, so (I : J) = I * (I + J)^-1, an
+    exact division since I lies in I + J.
     """
-    _same_ring(I, J)
-    n = J.norm
-    prod = ideal_mul(I, ideal_conj(J))
-    meet = intmat.lattice_intersect(
-        [list(r) for r in prod.hnf], [[n, 0], [0, n]]
-    )
-    rows = [[v // n for v in row] for row in meet]
-    if any(v * n != w for row, mrow in zip(rows, meet) for v, w in zip(row, mrow)):
-        raise InternalInconsistency(f"(I * conj(J)) ∩ N(J)O is not divisible by {n}")
-    return QuadIdeal(I.ring, (tuple(rows[0]), tuple(rows[1])))
+    return _divide(I, ideal_sum(I, J))
 
 
 @dataclass(frozen=True)
@@ -427,39 +429,24 @@ def enumerate_ideals(K: QuadRing, norm: int) -> list[QuadIdeal]:
 def is_principal(I: QuadIdeal) -> QuadInt | None:
     """A generator of I when one exists, else None.
 
-    Searches the finitely many elements of norm N(I) (the norm form is
-    positive definite) and membership-tests them; g in I with
-    N(g) = N(I) forces (g) = I.
+    Every nonzero g in I has N(g) >= N(I), with equality iff (g) = I, so
+    I is principal iff the shortest vector of its Z-basis under the
+    positive definite norm form has norm N(I).  Lagrange-Gauss reduction
+    finds that vector; the generator returned is its unit multiple that
+    is least by (y, -x).
     """
     K = I.ring
-    n = I.norm
-    t = K.t
-    absd = -K.d
-    candidates: list[QuadInt] = []
-    if t == 0:
-        ymax = math.isqrt(n // absd)
-        for y in range(-ymax, ymax + 1):
-            rem = n - absd * y * y
-            x = math.isqrt(rem)
-            if x * x == rem:
-                candidates.append(K.element(x, y))
-                if x:
-                    candidates.append(K.element(-x, y))
-    else:
-        ymax = math.isqrt(4 * n // absd)
-        for y in range(-ymax, ymax + 1):
-            disc_x = 4 * n - absd * y * y
-            s = math.isqrt(disc_x)
-            if s * s != disc_x:
-                continue
-            for sign in (1, -1):
-                num = -y + sign * s
-                if num % 2 == 0:
-                    candidates.append(K.element(num // 2, y))
-    for g in candidates:
-        if not g.is_zero() and g.norm() == n and I.contains(g):
-            return g
-    return None
+    a, b = sorted(I.basis(), key=QuadInt.norm)
+    while True:
+        # b - q*a for q = round(<a, b> / N(a)), 2<a, b> = N(a + b) - N(a) - N(b)
+        na = a.norm()
+        b = b - a * (((a + b).norm() - b.norm()) // (2 * na))
+        if b.norm() >= na:
+            break
+        a, b = b, a
+    if a.norm() != I.norm:
+        return None
+    return min((u * a for u in K.units()), key=lambda g: (g.y, -g.x))
 
 
 def express_one(I: QuadIdeal, J: QuadIdeal) -> tuple[QuadInt, QuadInt]:

@@ -298,6 +298,31 @@ _NMAX = st.one_of(
     st.one_of(st.integers(-50, 50), st.sampled_from([10**6 + 1, 10**12])).map(str), _MALFORMED
 )
 _DISC = st.one_of(st.integers(-30, 5).map(str), _MALFORMED)
+# O_K input: elements "x+y*w", generator lists, points "a:b" and modules
+# "a,b; c,d" joined by '|', each with malformed tokens mixed in
+_ELEMENT = st.one_of(
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(lambda t: f"{t[0]}{t[1]:+}*w"),
+    st.integers(-12, 12).map(str),
+    st.sampled_from(["w", "-w", "2*w", "1-w", "w+1", "2w", "1+", "*w", "x", ""]),
+)
+_GENS = st.one_of(st.lists(_ELEMENT, min_size=1, max_size=3).map(",".join), _MALFORMED)
+_OK_POINT = st.one_of(st.tuples(_ELEMENT, _ELEMENT).map(":".join), _MALFORMED)
+_OK_MODULE = st.lists(
+    st.tuples(_ELEMENT, _ELEMENT).map(",".join), min_size=1, max_size=3
+).map("; ".join)
+_OK_MODULES = st.one_of(
+    st.lists(_OK_MODULE, min_size=1, max_size=3).map(" | ".join), _MALFORMED
+)
+_OK_DISC = st.one_of(st.sampled_from([-1, -2, -3, -5, -23, -71]).map(str), _DISC)
+# ok_enumerate scans N(I)^2 residue pairs, so enumerate stays on small
+# rings and small coordinates
+_SMALL_DISC = st.sampled_from(["-1", "-2", "-3", "-5"])
+_SMALL_ELEMENT = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+    lambda t: f"{t[0]}{t[1]:+}*w"
+)
+_SMALL_GENS = st.one_of(
+    st.lists(_SMALL_ELEMENT, min_size=1, max_size=2).map(",".join), _MALFORMED
+)
 
 
 def _opt(flag, value):
@@ -332,12 +357,38 @@ _FUZZ_ARGV = st.tuples(
             st.one_of(st.just([]), _opt("--disc", _DISC)),
             st.sampled_from([[], ["--check-identity"]]),
         ),
+        _command(
+            st.just(["ideal"]), st.sampled_from([["factor"], ["principal"]]),
+            _opt("--disc", _OK_DISC), _opt("--gens", _GENS),
+        ),
+        _command(
+            st.just(["ideal"]), st.sampled_from([["mul"], ["sum"], ["quotient"]]),
+            _opt("--disc", _OK_DISC), _opt("--lhs", _GENS), _opt("--rhs", _GENS),
+        ),
+        _command(st.just(["ideal", "primes-above"]), _opt("--disc", _OK_DISC), _opt("-p", _VALUE)),
+        _command(st.just(["okmod", "invariants"]), _opt("--disc", _OK_DISC),
+                 _opt("--gens", _OK_MODULES)),
+        _command(
+            st.just(["okmod", "reconstruct"]), _opt("--disc", _OK_DISC),
+            _opt("--L", _GENS), _opt("--K", _GENS), _opt("--point", _OK_POINT),
+        ),
+        _command(
+            st.just(["okmod", "enumerate"]), _opt("--disc", _SMALL_DISC),
+            _opt("--L", _SMALL_GENS), _opt("--K", _SMALL_GENS),
+        ),
+        _command(
+            st.just(["okmod", "intersect"]), _opt("--disc", _OK_DISC),
+            _opt("--modules", _OK_MODULES), st.sampled_from([[], ["--verify"]]),
+        ),
         st.lists(
             st.one_of(
-                st.sampled_from(["pf1", "lattice", "zeta", "list", "card", "crt", "invariants",
-                                 "reconstruct", "enumerate", "--mod", "--split", "--rows",
-                                 "--d1", "--d2", "--point", "--index", "--oracle",
-                                 "--series", "--nmax", "--disc", "--check-identity"]),
+                st.sampled_from(["pf1", "lattice", "zeta", "ideal", "okmod", "list", "card",
+                                 "crt", "invariants", "reconstruct", "enumerate", "factor",
+                                 "mul", "sum", "quotient", "principal", "primes-above",
+                                 "intersect", "--mod", "--split", "--rows", "--d1", "--d2",
+                                 "--point", "--index", "--oracle", "--series", "--nmax",
+                                 "--disc", "--check-identity", "--gens", "--lhs", "--rhs",
+                                 "-p", "--L", "--K", "--modules", "--verify"]),
                 _VALUE, _ROWS, _POINT,
             ),
             max_size=8,
@@ -381,6 +432,19 @@ GOLDEN_ZETA = json.loads((Path(__file__).parent / "golden_zeta.json").read_text(
 
 @pytest.mark.parametrize("case", GOLDEN_ZETA, ids=lambda c: " ".join(c["argv"]))
 def test_zeta_golden_output(capsys, case):
+    code, out = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out == case["stdout"]
+
+
+# stdout of ideal calls in json and text, recorded while colon ideals and
+# intersections still went through 4-column lattice intersections and
+# principality scanned the elements of norm N(I)
+GOLDEN_IDEAL = json.loads((Path(__file__).parent / "golden_ideal.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_IDEAL, ids=lambda c: " ".join(c["argv"]))
+def test_ideal_golden_output(capsys, case):
     code, out = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == case["stdout"]

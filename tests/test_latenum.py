@@ -1,13 +1,18 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 
-from cotorsion import cli, intmat
+from cotorsion import cli, intmat, okmodules, quadring
 from cotorsion.arith import sigma
 from cotorsion.errors import OutOfRange
 from cotorsion.latenum import classify, enumerate_index, hnf_oracle, strata
 from cotorsion.lattice2 import Lattice2, reconstruct, smith
+from cotorsion.okproj import ok_enumerate
 from cotorsion.projline import class_of
+
+GOLDEN_DIR = Path(__file__).parent
 
 
 class TestStrata:
@@ -111,3 +116,57 @@ class TestNoSmithOnLibraryPath:
         ):
             assert cli.main(argv) == 0
         capsys.readouterr()
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called on a library path")
+
+    return refuse
+
+
+def _run_golden(capsys, filename, keep=lambda argv: True):
+    for case in json.loads((GOLDEN_DIR / filename).read_text()):
+        if keep(case["argv"]):
+            assert cli.main(case["argv"]) == case["exit"]
+            assert capsys.readouterr().out == case["stdout"]
+
+
+class TestNoSearchOnOkPath:
+    def test_intersection_check_without_lift_or_shells(self, monkeypatch, capsys):
+        # the witnesses t come from CRT idempotents and the joined point
+        # needs no coprime lift; the import of coprime_lift may be gone
+        monkeypatch.setattr(okmodules, "coprime_lift", _refuse("coprime_lift"), raising=False)
+        monkeypatch.setattr(okmodules, "shells", _refuse("shells"))
+        for d in (-1, -5, -23):
+            K = quadring.ring(d)
+            comps = []
+            for p, pick in ((2, 0), (3, 1), (5, -1)):
+                P = quadring.primes_above(K, p)[0].ideal
+                L = quadring.primes_above(K, 7)[-1].ideal if p == 3 else quadring.unit_ideal(K)
+                pts = ok_enumerate(P)
+                comps.append(okmodules.reconstruct(L, quadring.ideal_mul(L, P), pts[pick]))
+            for mods in (comps[:2], comps[1:], comps):
+                report = okmodules.verify_intersection_theorem(mods)
+                assert report.ok
+        _run_golden(capsys, "golden_okmod.json", lambda argv: "intersect" in argv)
+
+    def test_ok_classification_and_ideal_cli_without_lattice_intersect(
+        self, monkeypatch, capsys
+    ):
+        # colon ideals and intersections of ideals are exact divisions;
+        # okmodules.intersect still intersects lattices and is not run here
+        monkeypatch.setattr(intmat, "lattice_intersect", _refuse("lattice_intersect"))
+        for d in (-1, -5, -23):
+            K = quadring.ring(d)
+            for n in range(1, 13):
+                for ln in (m for m in range(1, n + 1) if n % m == 0):
+                    for L in quadring.enumerate_ideals(K, ln):
+                        for Kid in quadring.enumerate_ideals(K, n // ln):
+                            if not L.contains_ideal(Kid):
+                                continue
+                            for M in okmodules.enumerate_cotorsion(L, Kid):
+                                data = okmodules.proj_invariant_element(M)
+                                assert (data.L, data.K) == (L, Kid)
+                                assert okmodules.reconstruct(L, Kid, data.point) == M
+        _run_golden(capsys, "golden_ideal.json")

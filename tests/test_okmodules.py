@@ -38,6 +38,7 @@ from cotorsion.okproj import (
 from cotorsion.quadring import (
     enumerate_ideals,
     ideal_from_generators,
+    ideal_from_hnf,
     ideal_mul,
     ideal_quotient,
     ideal_sum,
@@ -199,9 +200,22 @@ class TestInvariantIdeals:
             for n in range(1, 13):
                 for L, Kid in invariant_pairs(K, n):
                     for M in enumerate_cotorsion(L, Kid)[:4]:
-                        # the kernel route to K is the oracle for the minor route
+                        # the kernel route to K is the oracle for the block route
                         assert invariant_ideals(M) == (L, Kid)
                         assert annihilator(M) == Kid
+                        # the HNF blocks A (first coordinates) and B (M ∩ 0 + O)
+                        # multiply to the ideal of 2x2 minors, which is L*K
+                        h = M.hnf4
+                        A = ideal_from_hnf(K, ((h[0][0], h[0][1]), (0, h[1][1])))
+                        B = ideal_from_hnf(K, ((h[2][2], h[2][3]), (0, h[3][3])))
+                        pairs = M.basis_pairs()
+                        minors = [
+                            pairs[i][0] * pairs[j][1] - pairs[j][0] * pairs[i][1]
+                            for i in range(4)
+                            for j in range(i + 1, 4)
+                        ]
+                        assert ideal_mul(A, B) == ideal_from_generators(K, minors)
+                        assert ideal_mul(A, B) == ideal_mul(L, Kid)
                         got = intmat.smith_invariants([list(r) for r in M.hnf4])
                         expected = sorted(
                             intmat.smith_invariants([list(r) for r in L.hnf])
@@ -502,3 +516,16 @@ class TestIntersect:
         M3 = reconstruct(unit_ideal(KI), five, ok_class_of(KI.element(0), KI.one, five))
         report = verify_intersection_theorem([M1, M2, M3])
         assert report.ok
+        assert report.invariants == proj_invariant_element(report.intersection)
+
+    def test_nonprincipal_l_witnesses(self):
+        # L = P2 (not principal) on one side: t is built from the CRT
+        # idempotents of the primes of K = P2 * p3 * p7, not searched
+        p3 = primes_above(K5, 3)[0].ideal
+        seven = primes_above(K5, 7)[0].ideal
+        M1 = reconstruct(P2, ideal_mul(P2, p3), ok_enumerate(p3)[1])
+        M2 = reconstruct(unit_ideal(K5), seven, ok_enumerate(seven)[3])
+        report = verify_intersection_theorem([M1, M2])
+        assert report.ok
+        assert report.invariants.L == P2
+        assert report.invariants.K == ideal_mul(ideal_mul(P2, p3), seven)

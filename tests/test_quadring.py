@@ -1,17 +1,33 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cotorsion.errors import DegenerateInput, NonComaximal, SearchExhausted, ZeroIdeal
+import cotorsion
+from cotorsion import intmat
+from cotorsion.errors import (
+    DegenerateInput,
+    InternalInconsistency,
+    NonComaximal,
+    SearchExhausted,
+    ZeroIdeal,
+)
 from cotorsion.quadring import (
     RING_CACHE_SIZE,
     PrimeAbove,
     QuadIdeal,
+    _divide,
     element_avoiding,
     enumerate_ideals,
     express_one,
     factor_ideal,
+    ideal_conj,
     ideal_crt,
     ideal_from_generators,
     ideal_from_hnf,
@@ -36,6 +52,46 @@ P2 = ideal_from_generators(K5, [K5.element(2), K5.element(1, 1)])
 
 def random_element(rng, K, lo=-5, hi=5):
     return K.element(rng.randint(lo, hi), rng.randint(lo, hi))
+
+
+def _ideal_of_rows(K, rows):
+    return QuadIdeal(K, (tuple(rows[0]), tuple(rows[1])))
+
+
+def intersect_oracle(I, J):
+    """I ∩ J by the 4-column lattice intersection of the two Z-bases."""
+    return _ideal_of_rows(I.ring, intmat.lattice_intersect(I.hnf, J.hnf))
+
+
+def quotient_oracle(I, J):
+    """(I : J) = (I * conj(J) ∩ N(J)*O) / N(J) by lattice intersection."""
+    n = J.norm
+    prod = ideal_mul(I, ideal_conj(J))
+    meet = intmat.lattice_intersect(prod.hnf, [[n, 0], [0, n]])
+    assert all(v % n == 0 for row in meet for v in row)
+    return _ideal_of_rows(I.ring, [[v // n for v in row] for row in meet])
+
+
+def principal_oracle(I):
+    """The first element of norm N(I) in I, scanning y upward and x downward."""
+    K = I.ring
+    n = I.norm
+    if K.t == 0:
+        ymax = math.isqrt(n // -K.d)
+        coords = [(sx * x, y) for y in range(-ymax, ymax + 1)
+                  for x in [math.isqrt(n + K.d * y * y)] for sx in (1, -1)]
+    else:
+        ymax = math.isqrt(4 * n // -K.d)
+        coords = [((-y + sign * math.isqrt(4 * n + K.d * y * y)) // 2, y)
+                  for y in range(-ymax, ymax + 1) for sign in (1, -1)]
+    for x, y in coords:
+        g = K.element(x, y)
+        if g.norm() == n and I.contains(g):
+            return g
+    return None
+
+
+ORACLE_DISCS = (-1, -2, -3, -5, -7, -15, -23, -71)
 
 
 class TestRing:
@@ -245,9 +301,50 @@ class TestIdealArithmetic:
                     assert Q.contains(el) == member
             done += 1
 
+    def test_divide_refuses_a_dividend_outside_the_divisor(self):
+        three = ideal_from_generators(K5, [K5.element(3)])
+        assert _divide(ideal_mul(P2, three), P2) == three
+        with pytest.raises(InternalInconsistency):
+            _divide(three, P2)
+
     def test_quotient_ramified(self):
         two = ideal_from_generators(K5, [K5.element(2)])
         assert ideal_quotient(two, P2) == P2
+
+
+class TestAgainstIntersectionOracles:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.sampled_from(ORACLE_DISCS),
+        st.lists(st.integers(-15, 15), min_size=4, max_size=4),
+        st.lists(st.integers(-15, 15), min_size=4, max_size=4),
+        st.booleans(),
+    )
+    def test_quotient_and_intersect(self, d, c1, c2, nested):
+        K = ring(d)
+        gens1 = [K.element(c1[0], c1[1]), K.element(c1[2], c1[3])]
+        gens2 = [K.element(c2[0], c2[1]), K.element(c2[2], c2[3])]
+        if all(g.is_zero() for g in gens1) or all(g.is_zero() for g in gens2):
+            return
+        I = ideal_from_generators(K, gens1)
+        J = ideal_from_generators(K, gens2)
+        if nested:
+            I = ideal_mul(I, J)  # I within J, the case of every library call
+        for A, B in ((I, J), (J, I)):
+            assert ideal_quotient(A, B) == quotient_oracle(A, B)
+            assert ideal_intersect(A, B) == intersect_oracle(A, B)
+
+    @pytest.mark.parametrize("d", ORACLE_DISCS)
+    def test_every_small_ideal(self, d):
+        K = ring(d)
+        ideals = [I for n in range(1, 101) for I in enumerate_ideals(K, n)]
+        for I in ideals:
+            assert is_principal(I) == principal_oracle(I)
+        small = [I for I in ideals if I.norm <= 20]
+        for I in small:
+            for J in small:
+                assert ideal_quotient(I, J) == quotient_oracle(I, J)
+                assert ideal_intersect(I, J) == intersect_oracle(I, J)
 
 
 class TestPrimesAbove:
@@ -386,6 +483,30 @@ class TestPrincipality:
         target = K5.element(1, 1)  # 1 + sqrt(-5), norm 6
         assert any(I.contains(target) and I == ideal_from_generators(K5, [target])
                    for I in prods[:2])
+
+    @pytest.mark.parametrize("d", [-1, -2, -3, -5, -23])
+    def test_matches_scan_on_random_principal_ideals(self, d):
+        rng = random.Random(50 - d)
+        K = ring(d)
+        for _ in range(100):
+            g = random_element(rng, K, -300, 300)
+            if g.is_zero():
+                continue
+            I = ideal_from_generators(K, [g, g * random_element(rng, K)])
+            assert is_principal(I) == principal_oracle(I)
+
+    def test_large_norm_is_not_a_scan(self):
+        # (10^12) has norm 10^24: the element scan of norm N(I) ran over
+        # about 7 * 10^11 values of y, lattice reduction takes one step
+        src = str(Path(cotorsion.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "cotorsion", "ideal", "principal",
+             "--disc", "-2", "--gens", "1000000000000"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert done.returncode == 0, done.stderr
+        assert '"generator": {"x": 1000000000000, "y": 0}' in done.stdout
 
     def test_generator_recovers_ideal(self):
         rng = random.Random(47)
