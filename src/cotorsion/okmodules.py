@@ -18,6 +18,7 @@ unimodular mod I, M = L*v + K*O^2, and conversely the colon module
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 from . import intmat
@@ -26,29 +27,28 @@ from .errors import (
     BadInvariants,
     DegenerateInput,
     InternalInconsistency,
-    NonComaximal,
     NotFullRank,
     NotUnimodular,
     OutOfRange,
 )
 from .okproj import (
     OkProjPoint,
+    check_comaximal,
     is_unimodular_pair,
     line_point,
     ok_cardinality,
     ok_crt_join,
-    ok_enumerate,
+    ok_representatives,
     prime_divisors,
 )
 from .quadring import (
     QuadIdeal,
     QuadInt,
     QuadRing,
-    express_one,
+    crt_idempotents,
     ideal_from_generators,
     ideal_mul,
     ideal_quotient,
-    ideal_sum,
     is_principal,
     unit_ideal,
 )
@@ -282,17 +282,22 @@ def proj_invariant_element(M: CotorsionModule) -> OkInvariantData:
 
 
 def reconstruct(L: QuadIdeal, Kid: QuadIdeal, p: OkProjPoint) -> CotorsionModule:
-    """The unique module with invariant ideals (L, K) and point p mod I.
-
-    M = L*v + K*O^2 for the representative v = (a, b) of p, which is
-    unimodular mod I: the HNF of the rows (l*a, l*b) for the Z-basis l
-    of L, plus the Z-basis of K times each basis vector of O^2.
-    """
-    ring = L.ring
+    """The unique module with invariant ideals (L, K) and point p mod I."""
     I = p.modulus
     if ideal_mul(L, I) != Kid:
         raise BadInvariants(f"K != L*I for L={L}, K={Kid}, I={I}")
-    a, b = p.rep()
+    return _module_of(L, Kid, I, *p.rep())
+
+
+def _module_of(
+    L: QuadIdeal, Kid: QuadIdeal, I: QuadIdeal, a: QuadInt, b: QuadInt
+) -> CotorsionModule:
+    """M = L*(a, b) + K*O^2 for (a, b) unimodular mod I, where K = L*I.
+
+    The HNF of the rows (l*a, l*b) for the Z-basis l of L, plus the
+    Z-basis of K times each basis vector of O^2.
+    """
+    ring = L.ring
     if not is_unimodular_pair(a, b, I):
         raise NotUnimodular(f"({a}, {b}) is not unimodular mod {I}")
     rows = [coords4((l * a, l * b)) for l in L.basis()]
@@ -307,7 +312,11 @@ def reconstruct(L: QuadIdeal, Kid: QuadIdeal, p: OkProjPoint) -> CotorsionModule
 def enumerate_cotorsion(
     L: QuadIdeal, Kid: QuadIdeal, bound: int = ENUMERATION_BOUND
 ) -> list[CotorsionModule]:
-    """All modules with invariant ideals (L, K): one per point of PF^1_I."""
+    """All modules with invariant ideals (L, K): one per point of PF^1_I.
+
+    M = L*v + K*O^2 depends only on the point of v, so each module comes
+    from a CRT-joined pair of ok_representatives, with no canonical point.
+    """
     if not L.contains_ideal(Kid):
         raise BadInvariants(f"K = {Kid} is not contained in L = {L}")
     I = ideal_quotient(Kid, L)
@@ -316,9 +325,7 @@ def enumerate_cotorsion(
     count = ok_cardinality(I)
     if count > bound:
         raise OutOfRange(f"|PF^1_I| = {count} exceeds the enumeration bound {bound}")
-    modules = [reconstruct(L, Kid, p) for p in ok_enumerate(I)]
-    modules.sort()
-    return modules
+    return sorted(_module_of(L, Kid, I, a, b) for a, b in ok_representatives(I))
 
 
 def intersect(M1: CotorsionModule, M2: CotorsionModule) -> CotorsionModule:
@@ -371,22 +378,12 @@ def verify_intersection_theorem(modules) -> IntersectionReport:
     modules = list(modules)
     ring = modules[0].ring
     data = [proj_invariant_element(M) for M in modules]
-    for i in range(len(data)):
-        for j in range(i + 1, len(data)):
-            if not ideal_sum(data[i].K, data[j].K).is_unit_ideal():
-                raise NonComaximal(
-                    f"annihilators {data[i].K} and {data[j].K} are not comaximal"
-                )
-    cap = modules[0]
-    for M in modules[1:]:
-        cap = intersect(cap, M)
+    check_comaximal([d.K for d in data], "annihilators ")
+    cap = reduce(intersect, modules)
     full_rank = cap.quotient_size >= 1 and is_omega_stable(ring, cap.hnf4)
 
-    prod_L = unit_ideal(ring)
-    prod_K = unit_ideal(ring)
-    for d in data:
-        prod_L = ideal_mul(prod_L, d.L)
-        prod_K = ideal_mul(prod_K, d.K)
+    prod_L = reduce(ideal_mul, (d.L for d in data))
+    prod_K = reduce(ideal_mul, (d.K for d in data))
     cap_data = proj_invariant_element(cap)
     ideals_multiply = (cap_data.L, cap_data.K) == (prod_L, prod_K)
 
@@ -396,15 +393,13 @@ def verify_intersection_theorem(modules) -> IntersectionReport:
     # witness check: any valid t must carry the joined class into the intersection
     a, b = joined.rep()
     primes = prime_divisors(prod_K)
-    radical = unit_ideal(ring)
-    for P in primes:
-        radical = ideal_mul(radical, P)
+    radical = reduce(ideal_mul, primes, unit_ideal(ring))
     traps = [ideal_mul(prod_L, P) for P in primes]
     b0, b1 = prod_L.basis()
     t = ring.element(0)
-    for P, T in zip(primes, traps):
+    for e_P, T in zip(crt_idempotents(primes), traps):
         l_P = b1 if T.contains(b0) else b0
-        t = t + express_one(P, ideal_quotient(radical, P))[1] * l_P
+        t = t + e_P * l_P
     samples = [t] + [t + c for c in ideal_mul(prod_L, radical).basis()]
     witnesses_ok = all(
         not any(T.contains(s) for T in traps) and cap.contains((s * a, s * b))

@@ -7,14 +7,17 @@ of its representative: the pair whose reduced coordinates are
 lexicographically least over the unit orbit.  The unimodular elements of
 the line O*(a, b) + I*O^2 in (O/I)^2 are exactly that orbit, so line_point
 finds the representative by scanning the N(I) elements of the line in
-lexicographic order.  Every residue-unimodular pair also lifts to a
-globally coprime pair; coprime_lift finds one by a bounded search and
-serves only as a test oracle, since no library check needs the lift.
+lexicographic order.  Enumeration reads PF^1(O/I) as the product of the
+PF^1(O/P^k) over P^k || I (CRT) and joins local points [1:b] and [a:1],
+a in P, with the CRT idempotents of the P^k.  coprime_lift, a bounded
+search for a globally coprime lift, serves only as a test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
 
 from . import intmat
 from .arith import factorize
@@ -30,16 +33,16 @@ from .quadring import (
     QuadIdeal,
     QuadInt,
     QuadRing,
+    crt_idempotents,
     factor_ideal,
-    ideal_crt,
     ideal_mul,
+    ideal_pow,
     ideal_sum,
     primes_above,
-    unit_ideal,
 )
 from .search import shells
 
-#: ok_enumerate refuses to materialize more classes than this.
+#: ok_representatives refuses to materialize more points than this.
 ENUMERATION_BOUND = 10**6
 
 
@@ -96,23 +99,6 @@ def prime_divisors(I: QuadIdeal) -> list[QuadIdeal]:
         for pa in primes_above(K, p)
         if pa.ideal.contains_ideal(I)
     ]
-
-
-def unit_residues(I: QuadIdeal) -> tuple[QuadInt, ...]:
-    """All residues mod I that are units of O/I, in scan order.
-
-    A residue is a unit iff no prime dividing I contains it.
-    """
-    K = I.ring
-    (r11, _), (_, r22) = I.hnf
-    primes = prime_divisors(I)
-    out = []
-    for x in range(r11):
-        for y in range(r22):
-            el = QuadInt(K, x, y)
-            if not any(P.contains(el) for P in primes):
-                out.append(el)
-    return tuple(out)
 
 
 def _box_points(H, box, start: int, stop: int, v: tuple[int, ...]):
@@ -202,59 +188,61 @@ def ok_cardinality(I: QuadIdeal) -> int:
     return total
 
 
-def ok_enumerate(I: QuadIdeal, bound: int = ENUMERATION_BOUND) -> list[OkProjPoint]:
-    """All points of the projective line over O/I, sorted by representative.
+def ok_representatives(
+    I: QuadIdeal, bound: int = ENUMERATION_BOUND
+) -> list[tuple[QuadInt, QuadInt]]:
+    """One unimodular pair (a, b), reduced mod I, per point of PF^1 over O/I.
 
-    Scans residue pairs, skipping pairs whose orbit was already marked,
-    so the total work is (number of classes) * (number of units).
+    For each P^k || I the local pairs (1, b), b in O/P^k, and (a, 1), a in
+    P/P^k, are one per point of PF^1(O/P^k), N(P)^k + N(P)^(k-1) in all.
+    Each local list is scaled once by the CRT idempotent of P^k, and a
+    pair per point of PF^1(O/I) is the coordinatewise sum of one scaled
+    pair from each list.
     """
     card = ok_cardinality(I)
     if card > bound:
         raise OutOfRange(f"{card} points exceeds the enumeration bound {bound}")
     K = I.ring
-    if I.is_unit_ideal():
-        return [OkProjPoint(I, (0, 0), (0, 0))]
-    (r11, _), (_, r22) = I.hnf
-    units = unit_residues(I)
-    seen: set[tuple[int, int, int, int]] = set()
-    points = []
-    for ax in range(r11):
-        for ay in range(r22):
-            a = QuadInt(K, ax, ay)
-            for bx in range(r11):
-                for by in range(r22):
-                    if (ax, ay, bx, by) in seen:
-                        continue
-                    b = QuadInt(K, bx, by)
-                    if not is_unimodular_pair(a, b, I):
-                        continue
-                    best = None
-                    for lam in units:
-                        ra = I.reduce(lam * a)
-                        rb = I.reduce(lam * b)
-                        key = (ra.x, ra.y, rb.x, rb.y)
-                        seen.add(key)
-                        if best is None or key < best:
-                            best = key
-                    points.append(
-                        OkProjPoint(I, (best[0], best[1]), (best[2], best[3]))
-                    )
-    points.sort()
-    return points
+    zero = K.element(0)
+    factors = factor_ideal(I)
+    powers = [ideal_pow(P, k) for P, k in factors]
+    local = [[(zero, zero)]]  # the zero pair keeps one pair, (0, 0), when I = O
+    for (P, _), Q, e in zip(factors, powers, crt_idempotents(powers)):
+        (r11, _), (_, r22) = Q.hnf
+        box = [K.element(x, y) for x in range(r11) for y in range(r22)]
+        local.append(
+            [(e, e * b) for b in box] + [(e * a, e) for a in box if P.contains(a)]
+        )
+    return [
+        tuple(I.reduce(sum(xs, zero)) for xs in zip(*combo))
+        for combo in product(*local)
+    ]
+
+
+def ok_enumerate(I: QuadIdeal, bound: int = ENUMERATION_BOUND) -> list[OkProjPoint]:
+    """All points of the projective line over O/I, sorted by representative.
+
+    The CRT joins of local points from ok_representatives, each brought
+    to canonical form by ok_class_of.
+    """
+    return sorted(ok_class_of(a, b, I) for a, b in ok_representatives(I, bound))
+
+
+def check_comaximal(ideals, what: str = "") -> None:
+    """NonComaximal naming the first two of the ideals that share a prime."""
+    for i, I in enumerate(ideals):
+        for J in ideals[i + 1:]:
+            if not ideal_sum(I, J).is_unit_ideal():
+                raise NonComaximal(f"{what}{I} and {J} are not comaximal")
 
 
 def _check_factors(I: QuadIdeal, factors) -> None:
     if not factors:
         raise BadProduct("empty factor list")
-    prod = unit_ideal(I.ring)
-    for J in factors:
-        prod = ideal_mul(prod, J)
+    prod = reduce(ideal_mul, factors)
     if prod != I:
         raise BadProduct(f"factors multiply to {prod}, expected {I}")
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            if not ideal_sum(factors[i], factors[j]).is_unit_ideal():
-                raise NonComaximal(f"{factors[i]} and {factors[j]} are not comaximal")
+    check_comaximal(factors)
 
 
 def ok_crt_split(p: OkProjPoint, factors) -> list[OkProjPoint]:
@@ -270,18 +258,13 @@ def ok_crt_join(points) -> OkProjPoint:
     points = list(points)
     if not points:
         raise BadProduct("empty point list")
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if not ideal_sum(points[i].modulus, points[j].modulus).is_unit_ideal():
-                raise NonComaximal(
-                    f"moduli {points[i].modulus} and {points[j].modulus} are not comaximal"
-                )
-    a = ideal_crt([(QuadInt(p.ring, *p.a), p.modulus) for p in points])
-    b = ideal_crt([(QuadInt(p.ring, *p.b), p.modulus) for p in points])
-    modulus = points[0].modulus
-    for p in points[1:]:
-        modulus = ideal_mul(modulus, p.modulus)
-    return ok_class_of(a, b, modulus)
+    moduli = [p.modulus for p in points]
+    check_comaximal(moduli, "moduli ")
+    a = b = points[0].ring.element(0)
+    for e, p in zip(crt_idempotents(moduli), points):
+        pa, pb = p.rep()
+        a, b = a + e * pa, b + e * pb
+    return ok_class_of(a, b, reduce(ideal_mul, moduli))
 
 
 def coprime_lift(

@@ -13,14 +13,14 @@ the determinant r11 * r22 = |O/I|.  Every constructor folds its Z-span
 through the shared 2x2 kernel intmat.hnf2, and membership is
 intmat.hnf2_contains.  Colon ideals and intersections are exact
 divisions by J * conj(J) = N(J) * O; only express_one goes through the
-general row HNF.
+general row HNF, and every CRT join uses its crt_idempotents.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import intmat
 from .arith import factorize, sqrt_mod
@@ -467,20 +467,17 @@ def express_one(I: QuadIdeal, J: QuadIdeal) -> tuple[QuadInt, QuadInt]:
     return a, b
 
 
-def ideal_crt(residues) -> QuadInt:
-    """An element congruent to r_i mod I_i for pairwise comaximal ideals I_i."""
-    residues = list(residues)
-    if not residues:
-        raise DegenerateInput("empty residue list")
-    r, I = residues[0]
-    r = I.reduce(r)
-    for r2, J in residues[1:]:
-        a, b = express_one(I, J)  # a in I, b in J, a + b = 1
-        # b = 1 mod I and 0 mod J; a the other way around
-        r = r * b + r2 * a
-        I = ideal_mul(I, J)
-        r = I.reduce(r)
-    return r
+def crt_idempotents(ideals) -> list[QuadInt]:
+    """e_i = 1 mod I_i and 0 mod every other I_j, for pairwise comaximal I_i.
+
+    With P the product of the I_j, 1 = a + e_i for a in I_i and e_i in
+    P / I_i; NonComaximal if two of the I_j share a prime.
+    """
+    ideals = list(ideals)
+    if not ideals:
+        return []
+    prod = reduce(ideal_mul, ideals)
+    return [express_one(I, _divide(prod, I))[1] for I in ideals]
 
 
 def element_avoiding(L: QuadIdeal, avoid, box: int = 20) -> QuadInt:

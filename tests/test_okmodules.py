@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import cotorsion
 from cotorsion import intmat
-from cotorsion.errors import BadInvariants, NonComaximal, NotFullRank
+from cotorsion.errors import BadInvariants, NonComaximal, NotFullRank, NotUnimodular
 from cotorsion.okmodules import (
     CotorsionModule,
     annihilator,
@@ -29,11 +29,11 @@ from cotorsion.okmodules import (
     witnesses,
 )
 from cotorsion.okproj import (
+    OkProjPoint,
     ok_cardinality,
     ok_class_of,
     ok_crt_join,
     ok_enumerate,
-    unit_residues,
 )
 from cotorsion.quadring import (
     enumerate_ideals,
@@ -47,6 +47,7 @@ from cotorsion.quadring import (
     ring,
     unit_ideal,
 )
+from test_okproj import orbit_least
 
 KI = ring(-1)
 K5 = ring(-5)
@@ -317,11 +318,7 @@ class TestProjInvariantElement:
         assert data.point.modulus == data.I
         # the point is the least reduced pair over its unit orbit
         a, b = data.point.rep()
-        keys = []
-        for lam in unit_residues(data.I):
-            ra, rb = data.I.reduce(lam * a), data.I.reduce(lam * b)
-            keys.append((ra.x, ra.y, rb.x, rb.y))
-        assert min(keys) == data.point.a + data.point.b
+        assert orbit_least(a, b, data.I) == data.point.a + data.point.b
         assert reconstruct(data.L, data.K, data.point) == M
 
 
@@ -395,6 +392,12 @@ class TestReconstruct:
         with pytest.raises(BadInvariants):
             reconstruct(P2, P2, p)  # K != L*I for point modulus P2
 
+    def test_rejects_non_unimodular_point(self):
+        # (1+i, 1+i) lies in the prime (1+i): no module has it as its point
+        p = OkProjPoint(ONE_PLUS_I, (1, 1), (1, 1))
+        with pytest.raises(NotUnimodular):
+            reconstruct(unit_ideal(KI), ONE_PLUS_I, p)
+
     def test_round_trip_small(self):
         for K in (KI, K5):
             for n in range(1, 17):
@@ -439,6 +442,23 @@ class TestBruteForceCompleteness:
             rhs = convolve(series_shift(counts), counts)
             for n in range(1, 13):
                 assert len(enumerate_cotorsion_bruteforce(K, n)) == rhs.a(n)
+
+    @pytest.mark.parametrize("d", [-23, -71])
+    def test_enumeration_matches_zeta_coefficient_at_scale(self, d):
+        # class numbers 3 and 7: the projective lines enumerate every
+        # module, stratum by stratum, up to quotient size 100
+        from cotorsion.dirichlet import series_ok_module_count
+
+        K = ring(d)
+        N = 100
+        series = series_ok_module_count(K, N)
+        for n in range(1, N + 1):
+            total = 0
+            for L, Kid in invariant_pairs(K, n):
+                mods = enumerate_cotorsion(L, Kid)
+                assert len(set(mods)) == len(mods)
+                total += len(mods)
+            assert total == series.a(n), n
 
 
 class TestOtherDiscriminants:

@@ -12,9 +12,11 @@ from cotorsion.okproj import (
     ok_crt_split,
     ok_enumerate,
     ok_equivalent,
-    unit_residues,
+    ok_representatives,
+    prime_divisors,
 )
 from cotorsion.quadring import (
+    QuadInt,
     enumerate_ideals,
     ideal_from_generators,
     ideal_mul,
@@ -33,6 +35,61 @@ P2 = ideal_from_generators(K5, [K5.element(2), K5.element(1, 1)])
 
 def small_ideals(K, max_norm):
     return [I for n in range(1, max_norm + 1) for I in enumerate_ideals(K, n)]
+
+
+def unit_residues(I):
+    """All residues mod I that are units of O/I, in scan order.
+
+    A residue is a unit iff no prime dividing I contains it.
+    """
+    K = I.ring
+    (r11, _), (_, r22) = I.hnf
+    primes = prime_divisors(I)
+    out = []
+    for x in range(r11):
+        for y in range(r22):
+            el = QuadInt(K, x, y)
+            if not any(P.contains(el) for P in primes):
+                out.append(el)
+    return tuple(out)
+
+
+def enumerate_oracle(I):
+    """Reference PF^1 over O/I: the sorted orbit minima of a residue-pair scan.
+
+    Scans all N(I)^2 residue pairs, skipping pairs whose unit orbit was
+    already marked, and keeps the least reduced coordinates of each orbit.
+    """
+    K = I.ring
+    if I.is_unit_ideal():
+        return [OkProjPoint(I, (0, 0), (0, 0))]
+    (r11, _), (_, r22) = I.hnf
+    units = unit_residues(I)
+    seen = set()
+    points = []
+    for ax in range(r11):
+        for ay in range(r22):
+            a = QuadInt(K, ax, ay)
+            for bx in range(r11):
+                for by in range(r22):
+                    if (ax, ay, bx, by) in seen:
+                        continue
+                    b = QuadInt(K, bx, by)
+                    if not is_unimodular_pair(a, b, I):
+                        continue
+                    best = None
+                    for lam in units:
+                        ra = I.reduce(lam * a)
+                        rb = I.reduce(lam * b)
+                        key = (ra.x, ra.y, rb.x, rb.y)
+                        seen.add(key)
+                        if best is None or key < best:
+                            best = key
+                    points.append(
+                        OkProjPoint(I, (best[0], best[1]), (best[2], best[3]))
+                    )
+    points.sort()
+    return points
 
 
 def orbit_least(a, b, I):
@@ -119,6 +176,33 @@ class TestCardinality:
     def test_enumeration_bound(self):
         with pytest.raises(OutOfRange):
             ok_enumerate(ideal_from_generators(KI, [KI.element(3)]), bound=5)
+        with pytest.raises(OutOfRange):
+            ok_representatives(ideal_from_generators(KI, [KI.element(3)]), bound=9)
+        assert len(ok_representatives(ideal_from_generators(KI, [KI.element(3)]), bound=10)) == 10
+
+
+class TestRepresentatives:
+    @pytest.mark.parametrize("d", [-1, -2, -3, -5, -15, -23, -71])
+    def test_enumerate_matches_orbit_scan(self, d):
+        # every ideal of norm <= 30: split, inert and ramified primes and
+        # their powers, joined by CRT against the residue-pair scan
+        for I in small_ideals(ring(d), 30):
+            assert ok_enumerate(I) == enumerate_oracle(I)
+
+    def test_pairs_are_reduced_unimodular_and_one_per_point(self):
+        for K in (KI, K5, ring(-23)):
+            for I in small_ideals(K, 30):
+                pairs = ok_representatives(I)
+                assert len(pairs) == ok_cardinality(I)
+                for a, b in pairs:
+                    assert (I.reduce(a), I.reduce(b)) == (a, b)
+                    assert is_unimodular_pair(a, b, I)
+                assert len({ok_class_of(a, b, I) for a, b in pairs}) == len(pairs)
+
+    def test_unit_modulus(self):
+        K = ring(-71)
+        assert ok_representatives(unit_ideal(K)) == [(K.element(0), K.element(0))]
+        assert ok_enumerate(unit_ideal(K)) == enumerate_oracle(unit_ideal(K))
 
 
 class TestCrt:

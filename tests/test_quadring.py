@@ -23,12 +23,12 @@ from cotorsion.quadring import (
     PrimeAbove,
     QuadIdeal,
     _divide,
+    crt_idempotents,
     element_avoiding,
     enumerate_ideals,
     express_one,
     factor_ideal,
     ideal_conj,
-    ideal_crt,
     ideal_from_generators,
     ideal_from_hnf,
     ideal_intersect,
@@ -524,14 +524,43 @@ class TestPrincipality:
 class TestCrtAndAvoiding:
     def test_single_residue(self):
         I = ideal_from_generators(KI, [KI.element(1, 1)])
-        x = ideal_crt([(KI.one, I)])
+        (x,) = crt_idempotents([I])
         assert I.contains(x - KI.one)
+        assert crt_idempotents([]) == []
 
     def test_two_comaximal(self):
         I = ideal_from_generators(KI, [KI.element(1, 1)])
         J = ideal_from_generators(KI, [KI.element(3)])
-        x = ideal_crt([(KI.one, I), (KI.element(0), J)])
+        x, y = crt_idempotents([I, J])
         assert I.contains(x - KI.one) and J.contains(x)
+        assert J.contains(y - KI.one) and I.contains(y)
+
+    def test_idempotents_of_comaximal_families(self):
+        # 1-3 pairwise comaximal prime powers, split, inert and ramified
+        rng = random.Random(49)
+        for K in (KI, K5, ring(-3), ring(-23), ring(-71)):
+            powers = [
+                ideal_pow(pa.ideal, k)
+                for p in (2, 3, 5, 7)
+                for pa in primes_above(K, p)
+                for k in (1, 2)
+            ]
+            for _ in range(30):
+                size = rng.randint(1, 3)
+                family = rng.sample(powers, size)
+                if any(
+                    not ideal_sum(I, J).is_unit_ideal()
+                    for i, I in enumerate(family)
+                    for J in family[i + 1:]
+                ):
+                    with pytest.raises(NonComaximal):
+                        crt_idempotents(family)
+                    continue
+                es = crt_idempotents(family)
+                assert len(es) == size
+                for i, e in enumerate(es):
+                    for j, J in enumerate(family):
+                        assert J.contains(e - K.one if i == j else e)
 
     def test_noncomaximal_rejected(self):
         I = ideal_from_generators(KI, [KI.element(2)])
@@ -539,7 +568,7 @@ class TestCrtAndAvoiding:
         with pytest.raises(NonComaximal):
             express_one(I, J)
         with pytest.raises(NonComaximal):
-            ideal_crt([(KI.one, I), (KI.element(0), J)])
+            crt_idempotents([I, J])
 
     def test_express_one(self):
         rng = random.Random(48)
