@@ -1,14 +1,18 @@
 """Command-line frontend: machine-readable JSON by default, text on request.
 
 Exit codes: 0 success, 1 domain error (the error name comes from the
-library's exception types), 2 usage error.  Output for identical inputs
-is byte-identical across runs.
+library's exception types) or a reader that closed stdout early, 2 usage
+error.  Output for identical inputs is byte-identical across runs, and
+across calls of ``main`` in one process: the parser is built once, on the
+first call, and each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from . import dirichlet, latenum, lattice2, okmodules, okproj, projline, quadring
@@ -374,6 +378,7 @@ def cmd_okmod_intersect(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cotorsion",
@@ -484,10 +489,20 @@ def main(argv=None) -> int:
     if any(value == [] for value in vars(args).values()):
         parser.error("an option value of '--' is not accepted")
     try:
-        return args.func(args)
-    except CotorsionError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
+        try:
+            code = args.func(args)
+        except CotorsionError as exc:
+            print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
+            code = 1
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush at
+        # interpreter exit cannot fail again (Python's SIGPIPE note)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -19,6 +20,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _python_env():
+    """The environment for a fresh interpreter that imports this checkout's cotorsion."""
+    return dict(os.environ, PYTHONPATH=str(Path(cotorsion.__file__).resolve().parents[1]))
+
+
+def _buffered_env():
+    """As _python_env, with stdout block-buffered as it is by default on a pipe."""
+    env = _python_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 class TestPf1:
@@ -249,11 +262,9 @@ class TestDeterminism:
 
     def test_python_dash_m_matches_main(self, capsys):
         argv = ["lattice", "invariants", "--rows", "1,2;3,4"]
-        src = str(Path(cotorsion.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
         done = subprocess.run(
             [sys.executable, "-m", "cotorsion", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=_python_env(), timeout=60,
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == run(capsys, *argv)[1]
@@ -261,15 +272,95 @@ class TestDeterminism:
     def test_large_enumeration_finishes(self):
         # I = (31) over Z[i]: 962 modules, built from the local points of
         # the inert prime 31 rather than from the 961^2 residue pairs
-        src = str(Path(cotorsion.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
         done = subprocess.run(
             [sys.executable, "-m", "cotorsion", "okmod", "enumerate",
              "--disc", "-1", "--L", "1", "--K", "31"],
-            capture_output=True, text=True, env=env, timeout=5,
+            capture_output=True, text=True, env=_python_env(), timeout=5,
         )
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["count"] == 962
+
+    def test_closed_pipe_exits_one_quietly(self):
+        # the 78 kB of JSON are more than a 64 KiB pipe holds, so the write
+        # still blocks when the reader closes its end after 100 bytes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cotorsion", "okmod", "enumerate",
+             "--disc", "-1", "--L", "1", "--K", "31"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_buffered_env(), bufsize=0,
+        )
+        try:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=10)
+        finally:
+            proc.kill()
+        assert head.startswith(b'{"count": 962')
+        assert proc.returncode == 1
+        assert err == b""
+
+    def test_pipe_without_reader_exits_one_quietly(self):
+        # a short output waits in stdout's buffer, so the write that meets
+        # the closed pipe is the flush, and what is left must not fail again
+        # at interpreter exit
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "cotorsion", "pf1", "card", "--mod", "12"],
+                stdout=write_end, stderr=subprocess.PIPE, env=_buffered_env(), timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == b""
+
+    def test_parser_built_once(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        calls = [
+            ("pf1", "card", "--mod", "12"),
+            ("--format", "text", "pf1", "list", "--mod", "6"),
+            ("lattice", "invariants", "--rows", "1,2;3,4"),
+            ("lattice", "reconstruct", "--d1", "1", "--d2", "4", "--point", "1:2"),
+            ("zeta", "--series", "z2", "--nmax", "30", "--check-identity"),
+            ("--format", "csv", "zeta", "--series", "dedekind", "--disc", "-1", "--nmax", "20"),
+            ("ideal", "factor", "--disc", "-5", "--gens", "6"),
+            ("ideal", "primes-above", "--disc", "-1", "-p", "5"),
+            ("okmod", "invariants", "--disc", "-1", "--gens", "1,1; 0,1+w"),
+            ("okmod", "enumerate", "--disc", "-5", "--L", "1", "--K", "2,1+w"),
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(list(calls[0])) == 0
+            monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+            codes = [main(list(argv)) for _ in range(5) for argv in calls]
+        assert codes == [0] * 50
+        assert built == []
+
+    def test_import_builds_no_parser(self):
+        # bench/run.py times a fresh import as set-up, so the parser waits
+        # for the first call
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    built.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import cotorsion.cli\n"
+            "print(len(built))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=_python_env(), timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0\n"
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -467,3 +558,23 @@ def test_lattice_golden_output(capsys, case):
     code, out = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == case["stdout"]
+
+
+def test_calls_in_one_process_match_goldens(capsys):
+    """No state carries from one call of main() to the next.
+
+    A text call, a json call, a usage error, a domain error and a valid
+    call, then every golden call in reverse order, all in this process.
+    """
+    cases = GOLDEN + GOLDEN_ZETA + GOLDEN_IDEAL + GOLDEN_LATTICE
+    text = next(c for c in GOLDEN if c["argv"][:2] == ["--format", "text"])
+    plain = next(c for c in GOLDEN if c["argv"][0] != "--format")
+    for case in (text, plain):
+        assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"])
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "enumerate"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    error = next(c for c in cases if c["exit"] == 1 and '"error"' in c["stdout"])
+    for case in [error, GOLDEN_ZETA[0]] + cases[::-1]:
+        assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"]), case["argv"]
