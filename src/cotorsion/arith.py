@@ -56,16 +56,18 @@ class Factorization:
         return iter(self.pairs)
 
 
-def factorize(n: int, bound: int = TRIAL_DIVISION_BOUND) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Deterministic trial-division factorization of n >= 1.
 
-    Raises OutOfRange when n < 1 or n > bound**2 (a cofactor above bound**2
-    could be composite without a witness below the bound).
+    Raises OutOfRange when n < 1 or n > TRIAL_DIVISION_BOUND**2 (a
+    cofactor above that could be composite without a witness below the
+    bound).
     """
     if n < 1:
         raise OutOfRange(f"cannot factor {n}: need n >= 1")
-    if n > bound * bound:
-        raise OutOfRange(f"{n} exceeds the factorable range bound**2 = {bound * bound}")
+    limit = TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND
+    if n > limit:
+        raise OutOfRange(f"{n} exceeds the factorable range bound**2 = {limit}")
     pairs = []
     m = n
     d = 2

@@ -157,26 +157,21 @@ def _zeta_series(series: str, K, n: int) -> dirichlet.DirichletSeries:
 def _identity_reports(series: str, K, n: int) -> list[dirichlet.IdentityReport]:
     """Both zeta identities, each factor series built once.
 
-    The left side is the stratum sum of the classification; the right
-    sides are Dirichlet convolutions of the factor series.
+    With counts the ideal counts (zeta over Z) and pf1 the point counts,
+    the left side is the stratum sum of the classification and the right
+    sides are the convolutions zeta(s-1)*zeta(s) and zeta(2s)*zeta_PF1(s).
     """
     if series == "z2":
-        pf1 = dirichlet.series_pf1(n)
-        lhs = dirichlet.stratum_sum(dirichlet.series_zeta(n), pf1)
-        rhs = (
-            dirichlet.convolve(dirichlet.series_zeta_shift(n), dirichlet.series_zeta(n)),
-            dirichlet.convolve(dirichlet.series_zeta_double(n), pf1),
-        )
+        counts, pf1 = dirichlet.series_zeta(n), dirichlet.series_pf1(n)
     elif series == "ok-z2":
-        counts = dirichlet.series_ideal_count(K, n)
-        pf1 = dirichlet.series_ok_pf1(K, n)
-        lhs = dirichlet.stratum_sum(counts, pf1)
-        rhs = (
-            dirichlet.convolve(dirichlet.series_shift(counts), counts),
-            dirichlet.convolve(dirichlet.series_square_support(counts), pf1),
-        )
+        counts, pf1 = dirichlet.series_ideal_count(K, n), dirichlet.series_ok_pf1(K, n)
     else:
         raise _usage_error("--check-identity applies to --series z2 or ok-z2")
+    lhs = dirichlet.stratum_sum(counts, pf1)
+    rhs = (
+        dirichlet.convolve(dirichlet.series_shift(counts), counts),
+        dirichlet.convolve(dirichlet.series_square_support(counts), pf1),
+    )
     return [dirichlet.check_identity(lhs, r) for r in rhs]
 
 
@@ -241,21 +236,10 @@ def cmd_ideal_factor(args) -> int:
     return 0
 
 
-def cmd_ideal_mul(args) -> int:
+def cmd_ideal_binary(args) -> int:
+    """ideal mul, sum and quotient: args.op applied to --lhs and --rhs."""
     K = quadring.ring(args.disc)
-    return _ideal_out(args, quadring.ideal_mul(_ideal_of(K, args.lhs), _ideal_of(K, args.rhs)))
-
-
-def cmd_ideal_sum(args) -> int:
-    K = quadring.ring(args.disc)
-    return _ideal_out(args, quadring.ideal_sum(_ideal_of(K, args.lhs), _ideal_of(K, args.rhs)))
-
-
-def cmd_ideal_quotient(args) -> int:
-    K = quadring.ring(args.disc)
-    return _ideal_out(
-        args, quadring.ideal_quotient(_ideal_of(K, args.lhs), _ideal_of(K, args.rhs))
-    )
+    return _ideal_out(args, args.op(_ideal_of(K, args.lhs), _ideal_of(K, args.rhs)))
 
 
 def cmd_ideal_principal(args) -> int:
@@ -433,21 +417,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     idl = sub.add_parser("ideal", help="ideal arithmetic in O_K")
     idl_sub = idl.add_subparsers(dest="subcommand", required=True)
-    for name, func, two in (
-        ("factor", cmd_ideal_factor, False),
-        ("mul", cmd_ideal_mul, True),
-        ("sum", cmd_ideal_sum, True),
-        ("quotient", cmd_ideal_quotient, True),
-        ("principal", cmd_ideal_principal, False),
+    for name, func, op in (
+        ("factor", cmd_ideal_factor, None),
+        ("mul", cmd_ideal_binary, quadring.ideal_mul),
+        ("sum", cmd_ideal_binary, quadring.ideal_sum),
+        ("quotient", cmd_ideal_binary, quadring.ideal_quotient),
+        ("principal", cmd_ideal_principal, None),
     ):
         p = idl_sub.add_parser(name)
         p.add_argument("--disc", type=int, required=True)
-        if two:
+        if op:
             p.add_argument("--lhs", required=True, help="generators 'x+y*w,...'")
             p.add_argument("--rhs", required=True, help="generators 'x+y*w,...'")
         else:
             p.add_argument("--gens", required=True, help="generators 'x+y*w,...'")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, op=op)
     p = idl_sub.add_parser("primes-above")
     p.add_argument("--disc", type=int, required=True)
     p.add_argument("-p", type=int, required=True, dest="p")

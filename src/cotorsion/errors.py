@@ -49,13 +49,6 @@ class BadProduct(CotorsionError):
     """A list of ideal factors does not multiply to the expected modulus."""
 
 
-class SearchExhausted(CotorsionError):
-    """A bounded deterministic search ended without a witness.
-
-    This reports a bound failure, never mathematical nonexistence.
-    """
-
-
 class InternalInconsistency(CotorsionError):
     """An internal consistency check failed: the computation contradicts a theorem.
 

@@ -32,15 +32,15 @@ def strata(n: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def enumerate_index(n: int, bound: int = ENUMERATION_BOUND) -> list[Lattice2]:
+def enumerate_index(n: int) -> list[Lattice2]:
     """All sigma(n) sublattices of index n, via the classifying bijection.
 
     Reconstructs one lattice per projective point per stratum and sorts
     by the canonical basis, so the output is diffable against hnf_oracle.
     """
     count = sigma(n)
-    if count > bound:
-        raise OutOfRange(f"sigma({n}) = {count} exceeds the enumeration bound {bound}")
+    if count > ENUMERATION_BOUND:
+        raise OutOfRange(f"sigma({n}) = {count} exceeds the enumeration bound {ENUMERATION_BOUND}")
     lattices = []
     for d1, d2, d in strata(n):
         for p in enumerate_points(d):

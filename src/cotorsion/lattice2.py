@@ -21,6 +21,10 @@ from . import intmat
 from .errors import BadInvariants, InternalInconsistency, NotFullRank
 from .projline import ProjPoint, class_of
 
+#: proj_invariant_bruteforce scans the combinations i*r1 + j*r2 of the basis
+#: rows with |i|, |j| <= this.
+BRUTEFORCE_HEIGHT = 40
+
 
 @dataclass(frozen=True, order=True)
 class Lattice2:
@@ -113,7 +117,7 @@ def proj_invariant(lat: Lattice2) -> ProjPoint:
     return invariants(lat)[2]
 
 
-def proj_invariant_bruteforce(lat: Lattice2, height: int = 40) -> ProjPoint:
+def proj_invariant_bruteforce(lat: Lattice2) -> ProjPoint:
     """Test oracle: scan lattice elements d1*(x, y) with gcd(x, y) = 1.
 
     Collects every witness inside the coefficient box and checks they all
@@ -125,8 +129,8 @@ def proj_invariant_bruteforce(lat: Lattice2, height: int = 40) -> ProjPoint:
         return ProjPoint(1, 0, 0)
     r1, r2 = lat.rows
     seen = set()
-    for i in range(-height, height + 1):
-        for j in range(-height, height + 1):
+    for i in range(-BRUTEFORCE_HEIGHT, BRUTEFORCE_HEIGHT + 1):
+        for j in range(-BRUTEFORCE_HEIGHT, BRUTEFORCE_HEIGHT + 1):
             vx = i * r1[0] + j * r2[0]
             vy = i * r1[1] + j * r2[1]
             if vx == 0 and vy == 0:

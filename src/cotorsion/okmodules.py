@@ -25,6 +25,7 @@ from . import intmat
 from .arith import divisors
 from .errors import (
     BadInvariants,
+    BadProduct,
     DegenerateInput,
     InternalInconsistency,
     NotFullRank,
@@ -60,7 +61,7 @@ Pair = tuple[QuadInt, QuadInt]
 #: enumerate_cotorsion refuses to materialize more modules than this.
 ENUMERATION_BOUND = 10**5
 
-#: default coefficient box for the witness-search oracle
+#: coefficient box of the witness-search oracle
 WITNESS_BOX = 25
 
 
@@ -208,7 +209,7 @@ class OkInvariantData:
     point: OkProjPoint
 
 
-def witnesses(M: CotorsionModule, box: int = WITNESS_BOX):
+def witnesses(M: CotorsionModule):
     """Yield witness data (t, a, b, I) with (t*a, t*b) in M.
 
     A witness is an element (u, v) of M whose content ideal <u> + <v> is
@@ -223,7 +224,7 @@ def witnesses(M: CotorsionModule, box: int = WITNESS_BOX):
     I = ideal_quotient(Kann, L)
     traps = [ideal_mul(L, P) for P in prime_divisors(Kann)]
     rows = M.basis_pairs()
-    for c in shells(4, box):
+    for c in shells(4, WITNESS_BOX):
         u = rows[0][0] * c[0] + rows[1][0] * c[1] + rows[2][0] * c[2] + rows[3][0] * c[3]
         v = rows[0][1] * c[0] + rows[1][1] * c[1] + rows[2][1] * c[2] + rows[3][1] * c[3]
         if u.is_zero() and v.is_zero():
@@ -309,9 +310,7 @@ def _module_of(
     return CotorsionModule(ring, tuple(tuple(r) for r in hnf))
 
 
-def enumerate_cotorsion(
-    L: QuadIdeal, Kid: QuadIdeal, bound: int = ENUMERATION_BOUND
-) -> list[CotorsionModule]:
+def enumerate_cotorsion(L: QuadIdeal, Kid: QuadIdeal) -> list[CotorsionModule]:
     """All modules with invariant ideals (L, K): one per point of PF^1_I.
 
     M = L*v + K*O^2 depends only on the point of v, so each module comes
@@ -323,8 +322,8 @@ def enumerate_cotorsion(
     if ideal_mul(L, I) != Kid:
         raise BadInvariants(f"K != L*I for L={L}, K={Kid}")
     count = ok_cardinality(I)
-    if count > bound:
-        raise OutOfRange(f"|PF^1_I| = {count} exceeds the enumeration bound {bound}")
+    if count > ENUMERATION_BOUND:
+        raise OutOfRange(f"|PF^1_I| = {count} exceeds the enumeration bound {ENUMERATION_BOUND}")
     return sorted(_module_of(L, Kid, I, a, b) for a, b in ok_representatives(I))
 
 
@@ -376,6 +375,8 @@ def verify_intersection_theorem(modules) -> IntersectionReport:
     any v' = v mod I.
     """
     modules = list(modules)
+    if not modules:
+        raise BadProduct("empty module list")
     ring = modules[0].ring
     data = [proj_invariant_element(M) for M in modules]
     check_comaximal([d.K for d in data], "annihilators ")

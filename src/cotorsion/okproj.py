@@ -9,8 +9,7 @@ the line O*(a, b) + I*O^2 in (O/I)^2 are exactly that orbit, so line_point
 finds the representative by scanning the N(I) elements of the line in
 lexicographic order.  Enumeration reads PF^1(O/I) as the product of the
 PF^1(O/P^k) over P^k || I (CRT) and joins local points [1:b] and [a:1],
-a in P, with the CRT idempotents of the P^k.  coprime_lift, a bounded
-search for a globally coprime lift, serves only as a test oracle.
+a in P, with the CRT idempotents of the P^k.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .errors import (
     NonComaximal,
     NotUnimodular,
     OutOfRange,
-    SearchExhausted,
 )
 from .quadring import (
     QuadIdeal,
@@ -40,8 +38,6 @@ from .quadring import (
     ideal_sum,
     primes_above,
 )
-from .search import shells
-
 #: ok_representatives refuses to materialize more points than this.
 ENUMERATION_BOUND = 10**6
 
@@ -76,13 +72,6 @@ class OkProjPoint:
         return f"[{ax}{ay:+}*w:{bx}{by:+}*w] mod {self.modulus}"
 
 
-def is_coprime_pair(a: QuadInt, b: QuadInt) -> bool:
-    """Whether <a> + <b> = O globally."""
-    w = a.ring.omega
-    rows = (a.coords(), (a * w).coords(), b.coords(), (b * w).coords())
-    return intmat.hnf2(rows) == ((1, 0), (0, 1))
-
-
 def is_unimodular_pair(a: QuadInt, b: QuadInt, I: QuadIdeal) -> bool:
     """Whether <a> + <b> + I = O."""
     w = I.ring.omega
@@ -101,12 +90,12 @@ def prime_divisors(I: QuadIdeal) -> list[QuadIdeal]:
     ]
 
 
-def _box_points(H, box, start: int, stop: int, v: tuple[int, ...]):
+def _box_points(H, sides, start: int, stop: int, v: tuple[int, ...]):
     """v plus combinations of rows start..stop-1 of the 4x4 HNF H, in lex order.
 
     Yields the combinations whose coordinates start..stop-1 lie in
-    [0, box[i]).  Needs H[i][i] | box[i], which holds when the span
-    contains I*O^2, whose HNF has diagonal box.  Row i only moves
+    [0, sides[i]).  Needs H[i][i] | sides[i], which holds when the span
+    contains I*O^2, whose HNF has diagonal sides.  Row i only moves
     coordinates >= i, so coordinate i is settled at depth i.
     """
     if start == stop:
@@ -117,8 +106,8 @@ def _box_points(H, box, start: int, stop: int, v: tuple[int, ...]):
     # shift coordinate start into [0, h), then step through the box by h
     c = -(v[start] // h)
     v = tuple(x + c * r for x, r in zip(v, row))
-    for _ in range(box[start] // h):
-        yield from _box_points(H, box, start + 1, stop, v)
+    for _ in range(sides[start] // h):
+        yield from _box_points(H, sides, start + 1, stop, v)
         v = tuple(x + r for x, r in zip(v, row))
 
 
@@ -136,7 +125,7 @@ def line_point(I: QuadIdeal, rows) -> OkProjPoint:
     if I.is_unit_ideal():
         return OkProjPoint(I, (0, 0), (0, 0))
     (r11, r12), (_, r22) = I.hnf
-    box = (r11, r22, r11, r22)
+    sides = (r11, r22, r11, r22)
     ideal_rows = [[r11, r12, 0, 0], [0, r22, 0, 0], [0, 0, r11, r12], [0, 0, 0, r22]]
     H = intmat.row_hnf([list(r) for r in rows] + ideal_rows)
     if H[0][0] * H[1][1] * H[2][2] * H[3][3] != I.norm:
@@ -147,11 +136,11 @@ def line_point(I: QuadIdeal, rows) -> OkProjPoint:
     # element sharing it; the first coordinates span rows 0 and 1 of H
     heads = (QuadInt(K, H[0][0], H[0][1]), QuadInt(K, 0, H[1][1]))
     a_primes = [P for P in primes if not all(P.contains(g) for g in heads)]
-    for head in _box_points(H, box, 0, 2, (0, 0, 0, 0)):
+    for head in _box_points(H, sides, 0, 2, (0, 0, 0, 0)):
         a = QuadInt(K, head[0], head[1])
         if any(P.contains(a) for P in a_primes):
             continue
-        for ax, ay, bx, by in _box_points(H, box, 2, 4, head):
+        for ax, ay, bx, by in _box_points(H, sides, 2, 4, head):
             b = QuadInt(K, bx, by)
             if not any(P.contains(a) and P.contains(b) for P in primes):
                 return OkProjPoint(I, (ax, ay), (bx, by))
@@ -188,9 +177,7 @@ def ok_cardinality(I: QuadIdeal) -> int:
     return total
 
 
-def ok_representatives(
-    I: QuadIdeal, bound: int = ENUMERATION_BOUND
-) -> list[tuple[QuadInt, QuadInt]]:
+def ok_representatives(I: QuadIdeal) -> list[tuple[QuadInt, QuadInt]]:
     """One unimodular pair (a, b), reduced mod I, per point of PF^1 over O/I.
 
     For each P^k || I the local pairs (1, b), b in O/P^k, and (a, 1), a in
@@ -200,8 +187,8 @@ def ok_representatives(
     pair from each list.
     """
     card = ok_cardinality(I)
-    if card > bound:
-        raise OutOfRange(f"{card} points exceeds the enumeration bound {bound}")
+    if card > ENUMERATION_BOUND:
+        raise OutOfRange(f"{card} points exceeds the enumeration bound {ENUMERATION_BOUND}")
     K = I.ring
     zero = K.element(0)
     factors = factor_ideal(I)
@@ -219,13 +206,13 @@ def ok_representatives(
     ]
 
 
-def ok_enumerate(I: QuadIdeal, bound: int = ENUMERATION_BOUND) -> list[OkProjPoint]:
+def ok_enumerate(I: QuadIdeal) -> list[OkProjPoint]:
     """All points of the projective line over O/I, sorted by representative.
 
     The CRT joins of local points from ok_representatives, each brought
     to canonical form by ok_class_of.
     """
-    return sorted(ok_class_of(a, b, I) for a, b in ok_representatives(I, bound))
+    return sorted(ok_class_of(a, b, I) for a, b in ok_representatives(I))
 
 
 def check_comaximal(ideals, what: str = "") -> None:
@@ -266,22 +253,3 @@ def ok_crt_join(points) -> OkProjPoint:
         a, b = a + e * pa, b + e * pb
     return ok_class_of(a, b, reduce(ideal_mul, moduli))
 
-
-def coprime_lift(
-    a: QuadInt, b: QuadInt, I: QuadIdeal, box: int = 20
-) -> tuple[QuadInt, QuadInt]:
-    """A globally coprime pair congruent to (a, b) mod I.
-
-    Searches offsets from I by increasing coefficient box; existence is
-    classical, the bound is pragmatic, and exhaustion raises
-    SearchExhausted rather than claiming nonexistence.
-    """
-    if not is_unimodular_pair(a, b, I):
-        raise NotUnimodular(f"({a}, {b}) is not unimodular mod {I}")
-    b0, b1 = I.basis()
-    for c in shells(4, box):
-        la = a + b0 * c[0] + b1 * c[1]
-        lb = b + b0 * c[2] + b1 * c[3]
-        if is_coprime_pair(la, lb):
-            return la, lb
-    raise SearchExhausted(f"no coprime lift of ({a}, {b}) mod {I} within box {box}")

@@ -85,7 +85,7 @@ def cardinality(m: int) -> int:
     return total
 
 
-def enumerate_points(m: int, bound: int = ENUMERATION_BOUND) -> list[ProjPoint]:
+def enumerate_points(m: int) -> list[ProjPoint]:
     """All points of the projective line over Z/m, sorted by representative.
 
     Classes are generated stratified by g = gcd(a, m): for each divisor
@@ -95,8 +95,8 @@ def enumerate_points(m: int, bound: int = ENUMERATION_BOUND) -> list[ProjPoint]:
     """
     _check_modulus(m)
     card = cardinality(m)
-    if card > bound:
-        raise OutOfRange(f"{card} points exceeds the enumeration bound {bound}")
+    if card > ENUMERATION_BOUND:
+        raise OutOfRange(f"{card} points exceeds the enumeration bound {ENUMERATION_BOUND}")
     if m == 1:
         return [ProjPoint(1, 0, 0)]
     points = []

@@ -2,9 +2,9 @@
 
 The ring for a squarefree D < 0 is Z[w] with w = sqrt(D) when D = 2, 3
 (mod 4) and w = (1 + sqrt(D))/2 when D = 1 (mod 4); in both cases
-w^2 = t*w + u for integers (t, u), and the norm form is positive
-definite: principality is a Lagrange-Gauss reduction of the Z-basis of
-an ideal under it, and the avoidance search (a test oracle) is finite.
+w^2 = t*w + u for integers (t, u).  The norm form is positive definite,
+so principality is a Lagrange-Gauss reduction of the Z-basis of an
+ideal under it.
 
 Ideals are stored by their canonical Z-basis in coordinates (1, w): a
 row-HNF matrix ((r11, r12), (0, r22)) whose span is closed under
@@ -28,10 +28,8 @@ from .errors import (
     DegenerateInput,
     InternalInconsistency,
     NonComaximal,
-    SearchExhausted,
     ZeroIdeal,
 )
-from .search import shells
 
 #: The number of (ring, p) results primes_above keeps; a miss costs one
 #: modular square root and one 2x2 HNF.
@@ -479,22 +477,3 @@ def crt_idempotents(ideals) -> list[QuadInt]:
     prod = reduce(ideal_mul, ideals)
     return [express_one(I, _divide(prod, I))[1] for I in ideals]
 
-
-def element_avoiding(L: QuadIdeal, avoid, box: int = 20) -> QuadInt:
-    """A deterministic element of L outside every ideal in ``avoid``.
-
-    Scans Z-combinations of the basis of L by increasing coefficient
-    box; raises SearchExhausted at the configured bound (a bound
-    failure, not a proof of nonexistence).
-    """
-    avoid = list(avoid)
-    b0, b1 = L.basis()
-    for c0, c1 in shells(2, box):
-        el = b0 * c0 + b1 * c1
-        if el.is_zero():
-            continue
-        if all(not A.contains(el) for A in avoid):
-            return el
-    raise SearchExhausted(
-        f"no element of {L} avoiding {len(avoid)} ideals within box {box}"
-    )

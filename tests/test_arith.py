@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cotorsion import arith
 from cotorsion.arith import (
     Factorization,
     crt_pair,
@@ -96,14 +97,16 @@ class TestFactorize:
             assert all(ps[i] < ps[i + 1] for i in range(len(ps) - 1))
             assert all(e >= 1 for _, e in f)
 
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            factorize(101 * 103, bound=10)
+    def test_out_of_range(self, monkeypatch):
         with pytest.raises(OutOfRange):
             factorize(0)
+        monkeypatch.setattr(arith, "TRIAL_DIVISION_BOUND", 10)
+        with pytest.raises(OutOfRange):
+            factorize(101 * 103)
 
-    def test_large_prime_within_bound(self):
-        assert factorize(99_999_989, bound=10**4).pairs == ((99_999_989, 1),)
+    def test_large_prime_within_bound(self, monkeypatch):
+        monkeypatch.setattr(arith, "TRIAL_DIVISION_BOUND", 10**4)
+        assert factorize(99_999_989).pairs == ((99_999_989, 1),)
 
 
 class TestSigma:

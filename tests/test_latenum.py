@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cotorsion import cli, intmat, okmodules, quadring
+from cotorsion import cli, intmat, latenum, okmodules, quadring
 from cotorsion.arith import sigma
 from cotorsion.errors import OutOfRange
 from cotorsion.latenum import classify, enumerate_index, hnf_oracle, strata
@@ -51,9 +51,10 @@ class TestEnumerate:
         for n in range(1, 121):
             assert enumerate_index(n) == hnf_oracle(n)
 
-    def test_bound(self):
+    def test_bound(self, monkeypatch):
+        monkeypatch.setattr(latenum, "ENUMERATION_BOUND", 100)
         with pytest.raises(OutOfRange):
-            enumerate_index(360, bound=100)
+            enumerate_index(360)
 
 
 class TestClassify:
@@ -135,8 +136,7 @@ def _run_golden(capsys, filename, keep=lambda argv: True):
 class TestNoSearchOnOkPath:
     def test_intersection_check_without_lift_or_shells(self, monkeypatch, capsys):
         # the witnesses t come from CRT idempotents and the joined point
-        # needs no coprime lift; the import of coprime_lift may be gone
-        monkeypatch.setattr(okmodules, "coprime_lift", _refuse("coprime_lift"), raising=False)
+        # needs no coprime lift
         monkeypatch.setattr(okmodules, "shells", _refuse("shells"))
         for d in (-1, -5, -23):
             K = quadring.ring(d)

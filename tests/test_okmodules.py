@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 import cotorsion
 from cotorsion import intmat
-from cotorsion.errors import BadInvariants, NonComaximal, NotFullRank, NotUnimodular
+from cotorsion.errors import (
+    BadInvariants,
+    BadProduct,
+    NonComaximal,
+    NotFullRank,
+    NotUnimodular,
+)
 from cotorsion.okmodules import (
     CotorsionModule,
     annihilator,
@@ -525,6 +531,10 @@ class TestIntersect:
         )
         with pytest.raises(NonComaximal):
             verify_intersection_theorem([M1, M2])
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(BadProduct):
+            verify_intersection_theorem([])
 
     def test_triple_intersection(self):
         three = ideal_from_generators(KI, [KI.element(3)])

@@ -1,10 +1,9 @@
 import pytest
 
 from cotorsion.errors import BadProduct, NonComaximal, NotUnimodular, OutOfRange
+from cotorsion import okproj
 from cotorsion.okproj import (
     OkProjPoint,
-    coprime_lift,
-    is_coprime_pair,
     is_unimodular_pair,
     ok_cardinality,
     ok_class_of,
@@ -173,12 +172,16 @@ class TestCardinality:
                 assert len(pts) == len(set(pts)) == ok_cardinality(I)
                 assert pts == sorted(pts)
 
-    def test_enumeration_bound(self):
+    def test_enumeration_bound(self, monkeypatch):
+        three = ideal_from_generators(KI, [KI.element(3)])
+        monkeypatch.setattr(okproj, "ENUMERATION_BOUND", 5)
         with pytest.raises(OutOfRange):
-            ok_enumerate(ideal_from_generators(KI, [KI.element(3)]), bound=5)
+            ok_enumerate(three)
+        monkeypatch.setattr(okproj, "ENUMERATION_BOUND", 9)
         with pytest.raises(OutOfRange):
-            ok_representatives(ideal_from_generators(KI, [KI.element(3)]), bound=9)
-        assert len(ok_representatives(ideal_from_generators(KI, [KI.element(3)]), bound=10)) == 10
+            ok_representatives(three)
+        monkeypatch.setattr(okproj, "ENUMERATION_BOUND", 10)
+        assert len(ok_representatives(three)) == 10
 
 
 class TestRepresentatives:
@@ -275,24 +278,29 @@ class TestCrt:
             ok_crt_join([q1, q2])
 
 
-class TestCoprimeLift:
-    def test_lift_preserves_class_and_is_global(self):
+class TestShiftByModulus:
+    def test_class_depends_only_on_residues(self):
+        # [a + i : b + j] = [a : b] for i, j in I: shift every point's
+        # representative by each Z-basis element of I in either coordinate
         for K in (KI, K5):
             for I in small_ideals(K, 10):
                 if I.is_unit_ideal():
                     continue
+                shifts = (K.element(0),) + I.basis()
                 for p in ok_enumerate(I):
                     a, b = p.rep()
-                    la, lb = coprime_lift(a, b, I)
-                    assert is_coprime_pair(la, lb)
-                    assert I.contains(la - a) and I.contains(lb - b)
-                    assert ok_class_of(la, lb, I) == p
+                    for i in shifts:
+                        for j in shifts:
+                            assert ok_class_of(a + i, b + j, I) == p
 
     def test_residue_pair_not_globally_coprime(self):
-        # (w, w) reduced mod (3): unimodular residues but gcd <w> + <w> != O
+        # (1 + w, 1 - w) mod (3): unimodular residues, but <1 + w> + <1 - w>
+        # is a proper ideal, and shifts by 3 keep the class
         three = ideal_from_generators(K5, [K5.element(3)])
         a = K5.element(1, 1)
         b = K5.element(1, -1)
         assert is_unimodular_pair(a, b, three)
-        la, lb = coprime_lift(a, b, three)
-        assert is_coprime_pair(la, lb)
+        assert not ideal_from_generators(K5, [a, b]).is_unit_ideal()
+        p = ok_class_of(a, b, three)
+        for i, j in ((3, 0), (0, 3), (3, 3), (-3, 6)):
+            assert ok_class_of(a + K5.element(i), b + K5.element(j), three) == p

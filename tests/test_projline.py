@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cotorsion import projline
 from cotorsion.arith import divisors
 from cotorsion.errors import BadModuli, DegenerateInput, NotUnimodular, OutOfRange
 from cotorsion.projline import (
@@ -150,9 +151,10 @@ class TestEnumerate:
             for pt in enumerate_points(m):
                 assert class_of(pt.a, pt.b, m) == pt
 
-    def test_bound(self):
+    def test_bound(self, monkeypatch):
+        monkeypatch.setattr(projline, "ENUMERATION_BOUND", 100)
         with pytest.raises(OutOfRange):
-            enumerate_points(720, bound=100)
+            enumerate_points(720)
 
 
 class TestCardinality:

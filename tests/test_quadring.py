@@ -15,7 +15,6 @@ from cotorsion.errors import (
     DegenerateInput,
     InternalInconsistency,
     NonComaximal,
-    SearchExhausted,
     ZeroIdeal,
 )
 from cotorsion.quadring import (
@@ -24,7 +23,6 @@ from cotorsion.quadring import (
     QuadIdeal,
     _divide,
     crt_idempotents,
-    element_avoiding,
     enumerate_ideals,
     express_one,
     factor_ideal,
@@ -42,7 +40,6 @@ from cotorsion.quadring import (
     primes_above,
     ring,
     unit_ideal,
-    valuation,
 )
 
 KI = ring(-1)
@@ -581,19 +578,3 @@ class TestCrtAndAvoiding:
                 a, b = express_one(I, J)
                 assert I.contains(a) and J.contains(b)
                 assert a + b == K.one
-
-    def test_element_avoiding_unit_ideal(self):
-        two = ideal_from_generators(KI, [KI.element(2)])
-        three = ideal_from_generators(KI, [KI.element(3)])
-        e = element_avoiding(unit_ideal(KI), [two, three])
-        assert not two.contains(e) and not three.contains(e)
-
-    def test_element_avoiding_in_prime(self):
-        sq = ideal_mul(P2, P2)
-        e = element_avoiding(P2, [sq])
-        assert P2.contains(e) and not sq.contains(e)
-        assert valuation(ideal_from_generators(K5, [e]), P2) == 1
-
-    def test_element_avoiding_exhaustion(self):
-        with pytest.raises(SearchExhausted):
-            element_avoiding(P2, [P2], box=3)
