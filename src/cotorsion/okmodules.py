@@ -13,6 +13,10 @@ unimodular mod I, M = L*v + K*O^2, and conversely the colon module
 (M : L) = {x : L*x within M} equals O*v + I*O^2, so the point is the line
 (M : L) / I*O^2 in (O/I)^2.  The witness search of the paper's proof
 (witnesses) is kept as an independent oracle.
+
+The rows of every module basis are built on integer coordinates with
+quadring's product kernel; QuadInt pairs appear only where a function
+takes or returns elements.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ from .quadring import (
     QuadIdeal,
     QuadInt,
     QuadRing,
+    _check_element,
+    _conj,
+    _mul,
     crt_idempotents,
     ideal_from_generators,
     ideal_mul,
@@ -65,17 +72,9 @@ ENUMERATION_BOUND = 10**5
 WITNESS_BOX = 25
 
 
-def coords4(pair: Pair) -> list[int]:
-    a, b = pair
-    return [a.x, a.y, b.x, b.y]
-
-
-def pair_from_coords(K: QuadRing, row) -> Pair:
-    return QuadInt(K, row[0], row[1]), QuadInt(K, row[2], row[3])
-
-
-def scale_pair(s: QuadInt, pair: Pair) -> Pair:
-    return s * pair[0], s * pair[1]
+def _scaled_row(t: int, u: int, cx: int, cy: int, x1: int, y1: int, x2: int, y2: int) -> list[int]:
+    """Coordinates of (cx + cy*w) * (x1 + y1*w, x2 + y2*w), where w^2 = t*w + u."""
+    return [*_mul(t, u, cx, cy, x1, y1), *_mul(t, u, cx, cy, x2, y2)]
 
 
 @dataclass(frozen=True, order=True)
@@ -94,10 +93,13 @@ class CotorsionModule:
         return n
 
     def contains(self, pair: Pair) -> bool:
-        return intmat.solve_in_lattice([list(r) for r in self.hnf4], coords4(pair)) is not None
+        a, b = pair
+        target = [a.x, a.y, b.x, b.y]
+        return intmat.solve_in_lattice([list(r) for r in self.hnf4], target) is not None
 
     def basis_pairs(self) -> list[Pair]:
-        return [pair_from_coords(self.ring, row) for row in self.hnf4]
+        K = self.ring
+        return [(QuadInt(K, x1, y1), QuadInt(K, x2, y2)) for x1, y1, x2, y2 in self.hnf4]
 
     def to_json(self) -> dict:
         return {"D": self.ring.d, "hnf4": [list(r) for r in self.hnf4]}
@@ -106,20 +108,12 @@ class CotorsionModule:
         return f"module{self.hnf4} of {self.ring}"
 
 
-def _omega_rows(K: QuadRing, rows) -> list[list[int]]:
-    out = []
-    w = K.omega
-    for row in rows:
-        a, b = pair_from_coords(K, row)
-        out.append(coords4((a * w, b * w)))
-    return out
-
-
 def is_omega_stable(K: QuadRing, hnf_rows) -> bool:
+    t, u = K.t, K.u
     rows = [list(r) for r in hnf_rows]
     return all(
-        intmat.solve_in_lattice(rows, img) is not None
-        for img in _omega_rows(K, rows)
+        intmat.solve_in_lattice(rows, _scaled_row(t, u, 0, 1, *row)) is not None
+        for row in rows
     )
 
 
@@ -139,12 +133,13 @@ def module_from_generators(K: QuadRing, gens) -> CotorsionModule:
     Each generator contributes itself and its w-multiple, so the Z-span
     is omega-stable by construction.
     """
+    t, u = K.t, K.u
     rows = []
-    w = K.omega
-    for g in gens:
-        a, b = g
-        rows.append(coords4((a, b)))
-        rows.append(coords4((a * w, b * w)))
+    for a, b in gens:
+        _check_element(K, a)
+        _check_element(K, b)
+        rows.append([a.x, a.y, b.x, b.y])
+        rows.append(_scaled_row(t, u, 0, 1, a.x, a.y, b.x, b.y))
     hnf = intmat.row_hnf(rows)
     if len(hnf) != 4:
         raise NotFullRank("generators do not span a finite-index submodule of O^2")
@@ -259,10 +254,12 @@ def _colon_rows(M: CotorsionModule, L: QuadIdeal) -> list[list[int]]:
     Z-basis of L with the basis of M, divided exactly by N(L).
     """
     n = L.norm
+    t, u = L.ring.t, L.ring.u
+    (l1, l2), (_, l3) = L.hnf
     rows = []
-    for c in L.basis():
-        for pair in M.basis_pairs():
-            row = coords4(scale_pair(c.conj(), pair))
+    for cx, cy in (_conj(t, l1, l2), _conj(t, 0, l3)):
+        for r in M.hnf4:
+            row = _scaled_row(t, u, cx, cy, *r)
             if any(v % n for v in row):
                 raise InternalInconsistency(f"{M} is not contained in {L} * O^2")
             rows.append([v // n for v in row])
@@ -301,11 +298,15 @@ def _module_of(
     ring = L.ring
     if not is_unimodular_pair(a, b, I):
         raise NotUnimodular(f"({a}, {b}) is not unimodular mod {I}")
-    rows = [coords4((l * a, l * b)) for l in L.basis()]
-    zero = ring.element(0)
-    for k in Kid.basis():
-        rows.append(coords4((k, zero)))
-        rows.append(coords4((zero, k)))
+    t, u = ring.t, ring.u
+    (l1, l2), (_, l3) = L.hnf
+    (k1, k2), (_, k3) = Kid.hnf
+    # the basis l1 + l2*w and l3*w of L times (a, b), then K*e1 and K*e2
+    rows = [
+        _scaled_row(t, u, l1, l2, a.x, a.y, b.x, b.y),
+        _scaled_row(t, u, 0, l3, a.x, a.y, b.x, b.y),
+        [k1, k2, 0, 0], [0, 0, k1, k2], [0, k3, 0, 0], [0, 0, 0, k3],
+    ]
     hnf = intmat.row_hnf(rows)
     return CotorsionModule(ring, tuple(tuple(r) for r in hnf))
 

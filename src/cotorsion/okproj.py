@@ -31,6 +31,9 @@ from .quadring import (
     QuadIdeal,
     QuadInt,
     QuadRing,
+    _check_element,
+    _mul,
+    _reduce,
     crt_idempotents,
     factor_ideal,
     ideal_mul,
@@ -73,9 +76,14 @@ class OkProjPoint:
 
 
 def is_unimodular_pair(a: QuadInt, b: QuadInt, I: QuadIdeal) -> bool:
-    """Whether <a> + <b> + I = O."""
-    w = I.ring.omega
-    rows = I.hnf + (a.coords(), (a * w).coords(), b.coords(), (b * w).coords())
+    """Whether <a> + <b> + I = O: the HNF of I, a, w*a, b and w*b is the identity."""
+    K = I.ring
+    _check_element(K, a)
+    _check_element(K, b)
+    t, u = K.t, K.u
+    rows = I.hnf + (
+        (a.x, a.y), _mul(t, u, 0, 1, a.x, a.y), (b.x, b.y), _mul(t, u, 0, 1, b.x, b.y)
+    )
     return intmat.hnf2(rows) == ((1, 0), (0, 1))
 
 
@@ -156,9 +164,9 @@ def ok_class_of(a: QuadInt, b: QuadInt, I: QuadIdeal) -> OkProjPoint:
     """
     if not is_unimodular_pair(a, b, I):
         raise NotUnimodular(f"({a}, {b}) is not unimodular mod {I}")
-    w = I.ring.omega
-    aw, bw = a * w, b * w
-    return line_point(I, [[a.x, a.y, b.x, b.y], [aw.x, aw.y, bw.x, bw.y]])
+    t, u = I.ring.t, I.ring.u
+    w_row = [*_mul(t, u, 0, 1, a.x, a.y), *_mul(t, u, 0, 1, b.x, b.y)]
+    return line_point(I, [[a.x, a.y, b.x, b.y], w_row])
 
 
 def ok_equivalent(a: QuadInt, b: QuadInt, c: QuadInt, d: QuadInt, I: QuadIdeal) -> bool:
@@ -190,20 +198,25 @@ def ok_representatives(I: QuadIdeal) -> list[tuple[QuadInt, QuadInt]]:
     if card > ENUMERATION_BOUND:
         raise OutOfRange(f"{card} points exceeds the enumeration bound {ENUMERATION_BOUND}")
     K = I.ring
-    zero = K.element(0)
+    t, u = K.t, K.u
     factors = factor_ideal(I)
     powers = [ideal_pow(P, k) for P, k in factors]
-    local = [[(zero, zero)]]  # the zero pair keeps one pair, (0, 0), when I = O
+    local = [[(0, 0, 0, 0)]]  # the zero pair keeps one pair, (0, 0), when I = O
     for (P, _), Q, e in zip(factors, powers, crt_idempotents(powers)):
         (r11, _), (_, r22) = Q.hnf
-        box = [K.element(x, y) for x in range(r11) for y in range(r22)]
+        ex, ey = e.x, e.y
+        box = [(x, y) for x in range(r11) for y in range(r22)]
+        scaled = [_mul(t, u, ex, ey, x, y) for x, y in box]
         local.append(
-            [(e, e * b) for b in box] + [(e * a, e) for a in box if P.contains(a)]
+            [(ex, ey, sx, sy) for sx, sy in scaled]
+            + [(sx, sy, ex, ey) for (sx, sy), (x, y) in zip(scaled, box)
+               if intmat.hnf2_contains(P.hnf, x, y)]
         )
-    return [
-        tuple(I.reduce(sum(xs, zero)) for xs in zip(*combo))
-        for combo in product(*local)
-    ]
+    out = []
+    for combo in product(*local):
+        ax, ay, bx, by = map(sum, zip(*combo))
+        out.append((QuadInt(K, *_reduce(I.hnf, ax, ay)), QuadInt(K, *_reduce(I.hnf, bx, by))))
+    return out
 
 
 def ok_enumerate(I: QuadIdeal) -> list[OkProjPoint]:

@@ -14,6 +14,14 @@ through the shared 2x2 kernel intmat.hnf2, and membership is
 intmat.hnf2_contains.  Colon ideals and intersections are exact
 divisions by J * conj(J) = N(J) * O; only express_one goes through the
 general row HNF, and every CRT join uses its crt_idempotents.
+
+Ideal and module arithmetic works on integer coordinates: _mul and
+_conj are the product and conjugation kernels of every library path,
+and ideal_mul folds the four products of the bases r11 + r12*w and
+r22*w through hnf2.  QuadInt objects are built only where a function
+takes or returns elements (basis, reduce, is_principal, express_one).
+QuadInt keeps its own product and conjugate, so the tests' QuadInt
+routes stay independent oracles for the kernels.
 """
 
 from __future__ import annotations
@@ -100,6 +108,23 @@ def _same_ring(a, b) -> QuadRing:
     if a.ring is not b.ring and a.ring != b.ring:
         raise DegenerateInput(f"{a.ring} and {b.ring} are different rings")
     return a.ring
+
+
+def _mul(t: int, u: int, x1: int, y1: int, x2: int, y2: int) -> tuple[int, int]:
+    """Coordinates of (x1 + y1*w)(x2 + y2*w), where w^2 = t*w + u."""
+    yy = y1 * y2
+    return x1 * x2 + u * yy, x1 * y2 + y1 * x2 + t * yy
+
+
+def _conj(t: int, x: int, y: int) -> tuple[int, int]:
+    """Coordinates of the conjugate of x + y*w, as the conjugate of w is t - w."""
+    return x + t * y, -y
+
+
+def _check_element(K: QuadRing, el: "QuadInt") -> None:
+    """DegenerateInput unless el is an element of K."""
+    if el.ring is not K and el.ring != K:
+        raise DegenerateInput(f"{el.ring} and {K} are different rings")
 
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -209,20 +234,15 @@ class QuadIdeal:
 
     def contains_ideal(self, other: "QuadIdeal") -> bool:
         """Whether other is a subset of self."""
-        return all(self.contains(b) for b in other.basis())
+        (a, b), (_, c) = other.hnf
+        return intmat.hnf2_contains(self.hnf, a, b) and intmat.hnf2_contains(self.hnf, 0, c)
 
     def is_unit_ideal(self) -> bool:
         return self.norm == 1
 
     def reduce(self, el: QuadInt) -> QuadInt:
         """Canonical residue of el modulo this ideal (coordinates in the HNF box)."""
-        (r11, r12), (_, r22) = self.hnf
-        x, y = el.x, el.y
-        q = x // r11
-        x -= q * r11
-        y -= q * r12
-        y %= r22
-        return QuadInt(self.ring, x, y)
+        return QuadInt(self.ring, *_reduce(self.hnf, el.x, el.y))
 
     def to_json(self) -> dict:
         return {"D": self.ring.d, "hnf": [list(self.hnf[0]), list(self.hnf[1])]}
@@ -232,11 +252,16 @@ class QuadIdeal:
         return f"ideal<({a},{b}),(0,{c})> of {self.ring}"
 
 
+def _reduce(hnf: intmat.Hnf2, x: int, y: int) -> tuple[int, int]:
+    """Coordinates of the canonical residue of x + y*w modulo the ideal with this HNF."""
+    (r11, r12), (_, r22) = hnf
+    q = x // r11
+    return x - q * r11, (y - q * r12) % r22
+
+
 def _is_omega_closed(K: QuadRing, hnf: intmat.Hnf2) -> bool:
-    w = K.omega
-    return all(
-        intmat.hnf2_contains(hnf, *(QuadInt(K, x, y) * w).coords()) for x, y in hnf
-    )
+    t, u = K.t, K.u
+    return all(intmat.hnf2_contains(hnf, *_mul(t, u, 0, 1, x, y)) for x, y in hnf)
 
 
 def ideal_from_hnf(K: QuadRing, rows) -> QuadIdeal:
@@ -251,11 +276,12 @@ def ideal_from_hnf(K: QuadRing, rows) -> QuadIdeal:
 
 def ideal_from_generators(K: QuadRing, gens) -> QuadIdeal:
     """The ideal generated by the given elements: HNF of the span of {g, w*g}."""
+    t, u = K.t, K.u
     rows = []
-    w = K.omega
     for g in gens:
-        rows.append(g.coords())
-        rows.append((g * w).coords())
+        _check_element(K, g)
+        rows.append((g.x, g.y))
+        rows.append(_mul(t, u, 0, 1, g.x, g.y))
     hnf = intmat.hnf2(rows)
     if hnf is None:
         raise ZeroIdeal("all generators are zero")
@@ -269,7 +295,13 @@ def unit_ideal(K: QuadRing) -> QuadIdeal:
 def ideal_mul(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
     """Product ideal: span of the pairwise products of the Z-bases."""
     K = _same_ring(I, J)
-    return QuadIdeal(K, intmat.hnf2((a * b).coords() for a in I.basis() for b in J.basis()))
+    t, u = K.t, K.u
+    (a1, b1), (_, c1) = I.hnf
+    (a2, b2), (_, c2) = J.hnf
+    return QuadIdeal(K, intmat.hnf2((
+        _mul(t, u, a1, b1, a2, b2), _mul(t, u, a1, b1, 0, c2),
+        _mul(t, u, 0, c1, a2, b2), _mul(t, u, 0, c1, 0, c2),
+    )))
 
 
 def ideal_pow(I: QuadIdeal, k: int) -> QuadIdeal:
@@ -289,7 +321,9 @@ def ideal_intersect(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
 
 
 def ideal_conj(I: QuadIdeal) -> QuadIdeal:
-    return QuadIdeal(I.ring, intmat.hnf2(b.conj().coords() for b in I.basis()))
+    t = I.ring.t
+    (a, b), (_, c) = I.hnf
+    return QuadIdeal(I.ring, intmat.hnf2((_conj(t, a, b), _conj(t, 0, c))))
 
 
 def _divide(I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
@@ -455,12 +489,12 @@ def express_one(I: QuadIdeal, J: QuadIdeal) -> tuple[QuadInt, QuadInt]:
     hnf, trans = intmat.row_hnf_with_transform(I.hnf + J.hnf)
     if hnf[:2] != [[1, 0], [0, 1]]:
         raise NonComaximal(f"{I} + {J} is not the unit ideal")
-    full = trans[0]
-    bi = I.basis()
-    bj = J.basis()
-    a = bi[0] * full[0] + bi[1] * full[1]
-    b = bj[0] * full[2] + bj[1] * full[3]
-    if (a + b).coords() != (1, 0):
+    f0, f1, f2, f3 = trans[0]
+    (i1, i2), (_, i3) = I.hnf
+    (j1, j2), (_, j3) = J.hnf
+    a = QuadInt(I.ring, i1 * f0, i2 * f0 + i3 * f1)
+    b = QuadInt(I.ring, j1 * f2, j2 * f2 + j3 * f3)
+    if (a.x + b.x, a.y + b.y) != (1, 0):
         raise InternalInconsistency(f"a + b = {a + b}, not 1, for {I} and {J}")
     return a, b
 

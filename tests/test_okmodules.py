@@ -14,12 +14,16 @@ from cotorsion import intmat
 from cotorsion.errors import (
     BadInvariants,
     BadProduct,
+    DegenerateInput,
+    InternalInconsistency,
     NonComaximal,
     NotFullRank,
     NotUnimodular,
 )
 from cotorsion.okmodules import (
     CotorsionModule,
+    _colon_rows,
+    _module_of,
     annihilator,
     enumerate_cotorsion,
     enumerate_cotorsion_bruteforce,
@@ -36,12 +40,15 @@ from cotorsion.okmodules import (
 )
 from cotorsion.okproj import (
     OkProjPoint,
+    is_unimodular_pair,
     ok_cardinality,
     ok_class_of,
     ok_crt_join,
     ok_enumerate,
+    ok_representatives,
 )
 from cotorsion.quadring import (
+    QuadInt,
     enumerate_ideals,
     ideal_from_generators,
     ideal_from_hnf,
@@ -53,7 +60,7 @@ from cotorsion.quadring import (
     ring,
     unit_ideal,
 )
-from test_okproj import orbit_least
+from test_okproj import orbit_least, representatives_oracle, unimodular_oracle
 
 KI = ring(-1)
 K5 = ring(-5)
@@ -72,6 +79,45 @@ def invariant_pairs(K, n):
                 if L.contains_ideal(Kid):
                     out.append((L, Kid))
     return out
+
+
+def module_of_oracle(L, Kid, a, b):
+    """L*(a, b) + K*O^2 with the rows as QuadInt products."""
+    zero = L.ring.element(0)
+    rows = [[*(l * a).coords(), *(l * b).coords()] for l in L.basis()]
+    for k in Kid.basis():
+        rows += [[*k.coords(), *zero.coords()], [*zero.coords(), *k.coords()]]
+    return CotorsionModule(L.ring, tuple(tuple(r) for r in intmat.row_hnf(rows)))
+
+
+def colon_rows_oracle(M, L):
+    """conj(l)*M / N(L) for the Z-basis l of L, with QuadInt products."""
+    n = L.norm
+    rows = []
+    for c in L.basis():
+        for a, b in M.basis_pairs():
+            row = [*(c.conj() * a).coords(), *(c.conj() * b).coords()]
+            assert all(v % n == 0 for v in row)
+            rows.append([v // n for v in row])
+    return rows
+
+
+def omega_stable_oracle(K, hnf_rows):
+    """Whether w times each basis pair, as QuadInt products, lies in the lattice."""
+    w = K.omega
+    rows = [list(r) for r in hnf_rows]
+    images = [[*(QuadInt(K, x1, y1) * w).coords(), *(QuadInt(K, x2, y2) * w).coords()]
+              for x1, y1, x2, y2 in rows]
+    return all(intmat.solve_in_lattice(rows, img) is not None for img in images)
+
+
+def generated_module_oracle(K, gens):
+    """The O-span of gens as the row HNF of each pair and its QuadInt w-multiple."""
+    w = K.omega
+    rows = []
+    for a, b in gens:
+        rows += [[*a.coords(), *b.coords()], [*(a * w).coords(), *(b * w).coords()]]
+    return CotorsionModule(K, tuple(tuple(r) for r in intmat.row_hnf(rows)))
 
 
 class TestConstruction:
@@ -371,6 +417,77 @@ class TestInternalChecks:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["raised"] * 4
+
+
+class TestIntegerRowBuilders:
+    """The integer row builders against the QuadInt products they replace."""
+
+    @pytest.mark.parametrize("d", [-1, -5, -23, -71])
+    def test_every_stratum_up_to_norm_30(self, d):
+        K = ring(d)
+        box = [K.element(x, y) for x in range(3) for y in range(3)]
+        outcomes = {"unimodular": set(), "omega_stable": set()}
+        strata = [s for n in range(1, 31) for s in invariant_pairs(K, n)]
+        for L, Kid in strata:
+            I = ideal_quotient(Kid, L)
+            reps = ok_representatives(I)
+            assert reps == representatives_oracle(I)
+            for a, b in [(a, b) for a in box for b in box] + reps:
+                found = is_unimodular_pair(a, b, I)
+                assert found == unimodular_oracle(a, b, I)
+                outcomes["unimodular"].add(found)
+            for a, b in reps:
+                M = _module_of(L, Kid, I, a, b)
+                assert M == module_of_oracle(L, Kid, a, b)
+                assert _colon_rows(M, L) == colon_rows_oracle(M, L)
+                assert module_from_generators(K, M.basis_pairs()) == generated_module_oracle(
+                    K, M.basis_pairs()) == M
+                # the module and a lattice one entry off it, which may not be w-stable
+                nudged = [list(r) for r in M.hnf4]
+                nudged[0][1] += 1
+                for rows in (M.hnf4, nudged):
+                    found = is_omega_stable(K, rows)
+                    assert found == omega_stable_oracle(K, rows)
+                    outcomes["omega_stable"].add(found)
+        assert outcomes == {"unimodular": {True, False}, "omega_stable": {True, False}}
+
+    def test_colon_rows_refuse_a_module_outside_l(self):
+        # (M : L) = conj(L)*M / N(L) is exact only when M lies in L*O^2
+        M = module_from_generators(K5, [(P2.basis()[0], K5.element(0)), (K5.element(0), K5.one)])
+        assert len(_colon_rows(M, unit_ideal(K5))) == 8
+        with pytest.raises(InternalInconsistency):
+            _colon_rows(M, P2)
+
+    def test_generators_from_another_ring_rejected(self):
+        with pytest.raises(DegenerateInput):
+            module_from_generators(K5, [(KI.one, K5.one), (K5.element(0), K5.one)])
+
+    def test_no_quadint_products_when_classifying(self, monkeypatch):
+        # enumerating, classifying and rebuilding work on integer rows: after
+        # one warm-up pass they multiply no QuadInt
+        products = []
+        mul = QuadInt.__mul__
+
+        def counting_mul(self, other):
+            products.append((self, other))
+            return mul(self, other)
+
+        strata = [s for d in (-1, -5, -23, -71) for n in (6, 9, 12)
+                  for s in invariant_pairs(ring(d), n)]
+
+        def classify_and_rebuild(strata):
+            for L, Kid in strata:
+                for M in enumerate_cotorsion(L, Kid):
+                    data = proj_invariant_element(M)
+                    assert reconstruct(data.L, data.K, data.point) == M
+
+        classify_and_rebuild(strata[:1])
+        monkeypatch.setattr(QuadInt, "__mul__", counting_mul)
+        monkeypatch.setattr(QuadInt, "__rmul__", counting_mul)
+        classify_and_rebuild(strata)
+        assert products == []
+        KI.one * 2
+        assert len(products) == 1
 
 
 class TestReconstruct:

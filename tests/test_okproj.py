@@ -1,7 +1,9 @@
+from itertools import product
+
 import pytest
 
-from cotorsion.errors import BadProduct, NonComaximal, NotUnimodular, OutOfRange
-from cotorsion import okproj
+from cotorsion.errors import BadProduct, DegenerateInput, NonComaximal, NotUnimodular, OutOfRange
+from cotorsion import intmat, okproj
 from cotorsion.okproj import (
     OkProjPoint,
     is_unimodular_pair,
@@ -16,7 +18,9 @@ from cotorsion.okproj import (
 )
 from cotorsion.quadring import (
     QuadInt,
+    crt_idempotents,
     enumerate_ideals,
+    factor_ideal,
     ideal_from_generators,
     ideal_mul,
     ideal_pow,
@@ -91,6 +95,29 @@ def enumerate_oracle(I):
     return points
 
 
+def unimodular_oracle(a, b, I):
+    """Whether <a> + <b> + I = O, with w*a and w*b as QuadInt products."""
+    w = I.ring.omega
+    rows = I.hnf + (a.coords(), (a * w).coords(), b.coords(), (b * w).coords())
+    return intmat.hnf2(rows) == ((1, 0), (0, 1))
+
+
+def representatives_oracle(I):
+    """ok_representatives on QuadInt products, sums and reductions."""
+    K = I.ring
+    zero = K.element(0)
+    factors = factor_ideal(I)
+    powers = [ideal_pow(P, k) for P, k in factors]
+    local = [[(zero, zero)]]
+    for (P, _), Q, e in zip(factors, powers, crt_idempotents(powers)):
+        (r11, _), (_, r22) = Q.hnf
+        box = [K.element(x, y) for x in range(r11) for y in range(r22)]
+        local.append([(e, e * b) for b in box] + [(e * a, e) for a in box if P.contains(a)])
+    return [
+        tuple(I.reduce(sum(xs, zero)) for xs in zip(*combo)) for combo in product(*local)
+    ]
+
+
 def orbit_least(a, b, I):
     """Reference class: the least reduced coordinates over the unit orbit of (a, b)."""
     keys = []
@@ -119,6 +146,12 @@ class TestClassOf:
         g = KI.element(1, 1)
         with pytest.raises(NotUnimodular):
             ok_class_of(g, g, ONE_PLUS_I)
+
+    def test_pair_from_another_ring_rejected(self):
+        with pytest.raises(DegenerateInput):
+            is_unimodular_pair(KI.one, KI.element(0), P2)
+        with pytest.raises(DegenerateInput):
+            is_unimodular_pair(K5.one, KI.element(0), P2)
 
     def test_unit_scaling_invariance_exhaustive(self):
         # exhaust ideals of norm <= 12 in both fields

@@ -69,6 +69,46 @@ def quotient_oracle(I, J):
     return _ideal_of_rows(I.ring, [[v // n for v in row] for row in meet])
 
 
+def mul_oracle(I, J):
+    """I*J as the HNF of the four QuadInt products of the two Z-bases."""
+    return QuadIdeal(I.ring, intmat.hnf2((a * b).coords() for a in I.basis() for b in J.basis()))
+
+
+def conj_oracle(I):
+    """conj(I) as the HNF of the QuadInt conjugates of the Z-basis."""
+    return QuadIdeal(I.ring, intmat.hnf2(b.conj().coords() for b in I.basis()))
+
+
+def generators_oracle(K, gens):
+    """The ideal generated by gens as the HNF of each g and the QuadInt product g*w."""
+    w = K.omega
+    rows = [c for g in gens for c in (g.coords(), (g * w).coords())]
+    return QuadIdeal(K, intmat.hnf2(rows))
+
+
+def omega_closed_oracle(K, hnf):
+    """Whether w times each QuadInt of the basis lies in the lattice."""
+    w = K.omega
+    return all(intmat.hnf2_contains(hnf, *(K.element(x, y) * w).coords()) for x, y in hnf)
+
+
+#: t = 0 for D = 2, 3 mod 4 and t = 1 for D = 1 mod 4
+KERNEL_DISCS = (-1, -2, -3, -5, -7, -15, -23, -71)
+
+
+def random_big_ideal(rng, K):
+    """c * (g) or c * (g, h): content c >= 2, coordinates up to 10^4, norms up to about 10^12."""
+    c = rng.randint(2, 40)
+    gens = []
+    while not gens:
+        gens = [
+            K.element(rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4)) * c
+            for _ in range(rng.choice((1, 1, 2)))
+        ]
+        gens = [g for g in gens if not g.is_zero()]
+    return generators_oracle(K, gens)
+
+
 def principal_oracle(I):
     """The first element of norm N(I) in I, scanning y upward and x downward."""
     K = I.ring
@@ -307,6 +347,61 @@ class TestIdealArithmetic:
     def test_quotient_ramified(self):
         two = ideal_from_generators(K5, [K5.element(2)])
         assert ideal_quotient(two, P2) == P2
+
+
+class TestIntegerKernels:
+    """The integer-coordinate kernels against the QuadInt products they replace."""
+
+    @pytest.mark.parametrize("d", KERNEL_DISCS)
+    def test_mul_and_conj_match_quadint_products(self, d):
+        K = ring(d)
+        rng = random.Random(1000 - d)
+        ideals = [random_big_ideal(rng, K) for _ in range(60)]
+        # the sample reaches the intended scale: contents > 1, norms near 10^12
+        assert all(math.gcd(*I.hnf[0], I.hnf[1][1]) > 1 for I in ideals)
+        assert max(I.norm for I in ideals) > 10**11
+        for I, J in zip(ideals, ideals[1:] + ideals[:1]):
+            P = ideal_mul(I, J)
+            assert P == mul_oracle(I, J) == ideal_mul(J, I)
+            assert P.norm == I.norm * J.norm
+        for I in ideals:
+            C = ideal_conj(I)
+            assert C == conj_oracle(I)
+            assert ideal_mul(I, C) == ideal_from_generators(K, [K.element(I.norm)])
+
+    @pytest.mark.parametrize("d", KERNEL_DISCS)
+    def test_from_generators_matches_quadint_products(self, d):
+        K = ring(d)
+        rng = random.Random(2000 - d)
+        for _ in range(100):
+            scale = rng.choice((1, rng.randint(2, 40)))
+            gens = [
+                K.element(rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4)) * scale
+                for _ in range(rng.randint(1, 3))
+            ] + [K.element(0)] * rng.randint(0, 1)
+            assert ideal_from_generators(K, gens) == generators_oracle(K, gens)
+
+    @pytest.mark.parametrize("d", KERNEL_DISCS)
+    def test_ideal_check_matches_quadint_products(self, d):
+        # ideal_from_hnf accepts a lattice exactly when w times its basis stays inside
+        K = ring(d)
+        accepted = 0
+        for a in range(1, 9):
+            for c in range(1, 9):
+                for b in range(c):
+                    closed = omega_closed_oracle(K, ((a, b), (0, c)))
+                    if closed:
+                        assert ideal_from_hnf(K, [[a, b], [0, c]]).hnf == ((a, b), (0, c))
+                        accepted += 1
+                    else:
+                        with pytest.raises(DegenerateInput):
+                            ideal_from_hnf(K, [[a, b], [0, c]])
+        assert accepted == len([I for n in range(1, 65) for I in enumerate_ideals(K, n)
+                                if I.hnf[0][0] <= 8 and I.hnf[1][1] <= 8])
+
+    def test_generators_from_another_ring_rejected(self):
+        with pytest.raises(DegenerateInput):
+            ideal_from_generators(K5, [K5.element(2), KI.element(1, 1)])
 
 
 class TestAgainstIntersectionOracles:
