@@ -1,8 +1,11 @@
-"""Exact integer matrix algorithms: Hermite and Smith normal forms, kernels.
+"""Exact integer matrix algorithms: Hermite and Smith normal forms.
 
 Every rank-2 lattice in Z^2 (a sublattice of Z^2, an ideal of O in the
 basis (1, w)) is canonicalized by one kernel, hnf2, and tested for
-membership by hnf2_contains; row_hnf serves the 4-column module work.
+membership by hnf2_contains; row_hnf serves the 4-column module work,
+and in_lattice tests membership in its output.  The HNF of one stacked
+basis, stacked_hnf, gives both lattice intersections and the split
+1 = a + b over comaximal ideals, so no HNF needs a unimodular transform.
 No classification path computes a Smith normal form; the library reads
 invariants off HNF bases, and smith_normal_form stays as the tests' oracle.
 
@@ -62,35 +65,27 @@ def hnf2_contains(h: Hnf2, x: int, y: int) -> bool:
     return (y - (x // a) * b) % c == 0
 
 
-def _eliminate(rows: Matrix, trans: Matrix | None, pr: int, i: int, col: int) -> None:
+def _eliminate(rows: Matrix, pr: int, i: int, col: int) -> None:
     """Unimodular row op zeroing rows[i][col] against the pivot row pr."""
     a, b = rows[pr][col], rows[i][col]
     if b == 0:
         return
     if a == 0:
         rows[pr], rows[i] = rows[i], rows[pr]
-        if trans is not None:
-            trans[pr], trans[i] = trans[i], trans[pr]
         return
     if b % a == 0:
         # plain subtraction keeps the pivot row untouched
         q = b // a
         rows[i] = [v - q * w for v, w in zip(rows[i], rows[pr])]
-        if trans is not None:
-            trans[i] = [v - q * w for v, w in zip(trans[i], trans[pr])]
         return
     g, x, y = xgcd(a, b)
     ag, bg = a // g, b // g
     rp, ri = rows[pr], rows[i]
     rows[pr] = [x * p + y * q for p, q in zip(rp, ri)]
     rows[i] = [-bg * p + ag * q for p, q in zip(rp, ri)]
-    if trans is not None:
-        tp, ti = trans[pr], trans[i]
-        trans[pr] = [x * p + y * q for p, q in zip(tp, ti)]
-        trans[i] = [-bg * p + ag * q for p, q in zip(tp, ti)]
 
 
-def _hnf_inplace(rows: Matrix, trans: Matrix | None) -> int:
+def _hnf_inplace(rows: Matrix) -> int:
     """Reduce rows to canonical HNF in place; returns the rank."""
     if not rows:
         return 0
@@ -101,22 +96,16 @@ def _hnf_inplace(rows: Matrix, trans: Matrix | None) -> int:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        if trans is not None:
-            trans[rank], trans[pivot] = trans[pivot], trans[rank]
         for i in range(rank + 1, len(rows)):
-            _eliminate(rows, trans, rank, i, col)
+            _eliminate(rows, rank, i, col)
         if rows[rank][col] < 0:
             rows[rank] = [-v for v in rows[rank]]
-            if trans is not None:
-                trans[rank] = [-v for v in trans[rank]]
         # reduce the entries above the new pivot
         p = rows[rank][col]
         for i in range(rank):
             q = rows[i][col] // p
             if q:
                 rows[i] = [v - q * w for v, w in zip(rows[i], rows[rank])]
-                if trans is not None:
-                    trans[i] = [v - q * w for v, w in zip(trans[i], trans[rank])]
         rank += 1
         if rank == len(rows):
             break
@@ -126,58 +115,41 @@ def _hnf_inplace(rows: Matrix, trans: Matrix | None) -> int:
 def row_hnf(rows) -> Matrix:
     """Canonical row HNF of the lattice spanned by ``rows``; zero rows dropped."""
     work = [list(r) for r in rows]
-    rank = _hnf_inplace(work, None)
+    rank = _hnf_inplace(work)
     return work[:rank]
 
 
-def row_hnf_with_transform(rows) -> tuple[Matrix, Matrix]:
-    """(H, U) with U unimodular, U * rows = H, H in HNF with zero rows last."""
-    work = [list(r) for r in rows]
-    trans = [[int(i == j) for j in range(len(work))] for i in range(len(work))]
-    _hnf_inplace(work, trans)
-    return work, trans
-
-
-def solve_in_lattice(hnf_rows, target) -> list[int] | None:
-    """Coefficients c with c * hnf_rows == target, or None if target is outside.
-
-    ``hnf_rows`` must be an echelonized basis (output of row_hnf).
-    """
-    v = list(target)
-    coeffs = [0] * len(hnf_rows)
-    for idx, row in enumerate(hnf_rows):
-        col = next((j for j, w in enumerate(row) if w), None)
-        if col is None:
-            continue
-        if v[col] % row[col] != 0:
-            return None
-        q = v[col] // row[col]
-        if q:
-            coeffs[idx] = q
-            v = [a - q * b for a, b in zip(v, row)]
-    if any(v):
-        return None
-    return coeffs
-
-
 def in_lattice(hnf_rows, target) -> bool:
-    return solve_in_lattice(hnf_rows, target) is not None
+    """Whether target lies in the lattice with echelon basis ``hnf_rows`` (as row_hnf gives)."""
+    v = list(target)
+    for row in hnf_rows:
+        col = next(j for j, w in enumerate(row) if w)
+        q, r = divmod(v[col], row[col])
+        if r:
+            return False
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
 
 
-def left_kernel(rows) -> Matrix:
-    """Basis of {x : x * rows = 0}, via the HNF transform."""
-    hnf, trans = row_hnf_with_transform(rows)
-    return [trans[i] for i in range(len(hnf)) if not any(hnf[i])]
+def stacked_hnf(rows1, rows2) -> Matrix:
+    """Row HNF of the stacked basis (rows1 | rows1 ; rows2 | 0).
+
+    Its vectors are (x + y, x) for x in the lattice L1 of rows1 and y in
+    L2 of rows2.  The rows with a zero left half span L1 meet L2 on the
+    right; if L1 + L2 is all of Z^n, the i-th row is (e_i | a) with
+    a in L1 and e_i - a in L2.
+    """
+    n = len(rows1[0])
+    stacked = [list(r) + list(r) for r in rows1]
+    stacked += [list(r) + [0] * n for r in rows2]
+    return row_hnf(stacked)
 
 
 def lattice_intersect(rows1, rows2) -> Matrix:
     """HNF basis of the intersection of the two row lattices (same ambient dim)."""
     n = len(rows1[0])
-    stacked = [list(r) + list(r) for r in rows1]
-    stacked += [list(r) + [0] * n for r in rows2]
-    hnf = row_hnf(stacked)
-    out = [row[n:] for row in hnf if not any(row[:n])]
-    return row_hnf(out)
+    return row_hnf([row[n:] for row in stacked_hnf(rows1, rows2) if not any(row[:n])])
 
 
 def smith_normal_form(rows) -> tuple[Matrix, Matrix, Matrix]:

@@ -142,7 +142,7 @@ def proj_invariant_bruteforce(lat: Lattice2) -> ProjPoint:
                 continue
             seen.add(class_of(x, y, d))
     if len(seen) != 1:
-        raise AssertionError(f"witness classes not unique: {seen}")
+        raise InternalInconsistency(f"witness classes not unique: {seen}")
     return seen.pop()
 
 

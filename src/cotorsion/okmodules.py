@@ -95,7 +95,7 @@ class CotorsionModule:
     def contains(self, pair: Pair) -> bool:
         a, b = pair
         target = [a.x, a.y, b.x, b.y]
-        return intmat.solve_in_lattice([list(r) for r in self.hnf4], target) is not None
+        return intmat.in_lattice(self.hnf4, target)
 
     def basis_pairs(self) -> list[Pair]:
         K = self.ring
@@ -110,11 +110,7 @@ class CotorsionModule:
 
 def is_omega_stable(K: QuadRing, hnf_rows) -> bool:
     t, u = K.t, K.u
-    rows = [list(r) for r in hnf_rows]
-    return all(
-        intmat.solve_in_lattice(rows, _scaled_row(t, u, 0, 1, *row)) is not None
-        for row in rows
-    )
+    return all(intmat.in_lattice(hnf_rows, _scaled_row(t, u, 0, 1, *row)) for row in hnf_rows)
 
 
 def module_from_hnf(K: QuadRing, rows) -> CotorsionModule:
@@ -155,19 +151,16 @@ def full_module(K: QuadRing) -> CotorsionModule:
 def annihilator(M: CotorsionModule) -> QuadIdeal:
     """Test oracle: the ideal {x in O : x * O^2 within M}, which is K.
 
-    For each basis vector e_i, {x : x*e_i in M} is the projection of an
-    integer kernel; the annihilator is the intersection of the two.  The
-    library reads K off the content and minor ideals (invariant_ideals).
+    {x : x*e_1 in M} is M meet O+0 projected onto its first two
+    coordinates, {x : x*e_2 in M} is M meet 0+O projected onto its last
+    two, and the annihilator is the intersection of the two; x*e_i in M
+    for both i suffices since M is an O-module.  The library reads K off
+    the content and minor ideals (invariant_ideals).
     """
+    first = intmat.lattice_intersect(M.hnf4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    second = intmat.lattice_intersect(M.hnf4, [[0, 0, 1, 0], [0, 0, 0, 1]])
+    meet = intmat.lattice_intersect([r[:2] for r in first], [r[2:] for r in second])
     K = M.ring
-    rows = [list(r) for r in M.hnf4]
-    parts = []
-    for embed in (lambda c: [c[0], c[1], 0, 0], lambda c: [0, 0, c[0], c[1]]):
-        # x*e_1 has coordinates (x1, x2, 0, 0), x*e_2 has (0, 0, x1, x2);
-        # x*e_i in M for both i suffices since M is an O-module
-        kernel = intmat.left_kernel([embed([1, 0]), embed([0, 1])] + rows)
-        parts.append(intmat.row_hnf([k[:2] for k in kernel]))
-    meet = intmat.lattice_intersect(parts[0], parts[1])
     return ideal_from_generators(K, [QuadInt(K, *r) for r in meet])
 
 

@@ -12,8 +12,9 @@ multiplication by w.  Ideal equality is matrix equality and the norm is
 the determinant r11 * r22 = |O/I|.  Every constructor folds its Z-span
 through the shared 2x2 kernel intmat.hnf2, and membership is
 intmat.hnf2_contains.  Colon ideals and intersections are exact
-divisions by J * conj(J) = N(J) * O; only express_one goes through the
-general row HNF, and every CRT join uses its crt_idempotents.
+divisions by J * conj(J) = N(J) * O.  express_one reads 1 = a + b off
+the stacked HNF of (I | I ; J | 0) that lattice intersections use, and
+every CRT join uses its crt_idempotents.
 
 Ideal and module arithmetic works on integer coordinates: _mul and
 _conj are the product and conjugation kernels of every library path,
@@ -484,19 +485,15 @@ def is_principal(I: QuadIdeal) -> QuadInt | None:
 def express_one(I: QuadIdeal, J: QuadIdeal) -> tuple[QuadInt, QuadInt]:
     """(a, b) with a in I, b in J and a + b = 1; NonComaximal if I + J != O."""
     _same_ring(I, J)
-    # the rows span I + J, which contains 1 iff its HNF is the identity;
-    # then the first row of the transform writes 1 in the four rows
-    hnf, trans = intmat.row_hnf_with_transform(I.hnf + J.hnf)
-    if hnf[:2] != [[1, 0], [0, 1]]:
+    # the left halves of (I | I ; J | 0) span I + J, which contains 1 iff
+    # they start with the identity; the first row is then (1, 0, a)
+    hnf = intmat.stacked_hnf(I.hnf, J.hnf)
+    if hnf[0][:2] != [1, 0] or hnf[1][:2] != [0, 1]:
         raise NonComaximal(f"{I} + {J} is not the unit ideal")
-    f0, f1, f2, f3 = trans[0]
-    (i1, i2), (_, i3) = I.hnf
-    (j1, j2), (_, j3) = J.hnf
-    a = QuadInt(I.ring, i1 * f0, i2 * f0 + i3 * f1)
-    b = QuadInt(I.ring, j1 * f2, j2 * f2 + j3 * f3)
-    if (a.x + b.x, a.y + b.y) != (1, 0):
-        raise InternalInconsistency(f"a + b = {a + b}, not 1, for {I} and {J}")
-    return a, b
+    x, y = hnf[0][2:]
+    if not (intmat.hnf2_contains(I.hnf, x, y) and intmat.hnf2_contains(J.hnf, 1 - x, -y)):
+        raise InternalInconsistency(f"a = ({x}, {y}) is not in {I} or 1 - a is not in {J}")
+    return QuadInt(I.ring, x, y), QuadInt(I.ring, 1 - x, -y)
 
 
 def crt_idempotents(ideals) -> list[QuadInt]:

@@ -44,14 +44,6 @@ class TestRowHnf:
                 intmat.in_lattice(intmat.row_hnf(A + [[0, 0, 0]]), r) for r in H
             )
 
-    def test_transform_is_unimodular(self):
-        rng = random.Random(9)
-        for _ in range(100):
-            A = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-            H, U = intmat.row_hnf_with_transform(A)
-            assert intmat.mat_mul(U, A) == H
-            assert intmat.det(U) in (1, -1)
-
 
 _ROWS2 = st.lists(
     st.tuples(st.integers(-50, 50), st.integers(-50, 50)), min_size=1, max_size=8
@@ -81,21 +73,6 @@ class TestHnf2:
         assert intmat.hnf2([(0, 0), (0, 5)]) is None
         assert intmat.hnf2([(2, 4), (-3, -6), (0, 0)]) is None
         assert intmat.hnf2([(-2, 4), (0, -6)]) == ((2, 2), (0, 6))
-
-
-class TestKernel:
-    def test_left_kernel(self):
-        rng = random.Random(10)
-        for _ in range(100):
-            A = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 3))
-            K = intmat.left_kernel(A)
-            for x in K:
-                assert all(
-                    sum(x[i] * A[i][j] for i in range(len(A))) == 0
-                    for j in range(len(A[0]))
-                )
-            # rank-nullity
-            assert len(K) == len(A) - len(intmat.row_hnf(A))
 
 
 class TestIntersect:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cotorsion import intmat
+from cotorsion import intmat, lattice2
 from cotorsion.arith import xgcd
 from cotorsion.errors import BadInvariants, InternalInconsistency, NotFullRank
 from cotorsion.lattice2 import (
@@ -126,6 +126,22 @@ class TestProjInvariant:
         for n in range(1, 41):
             for lat in hnf_oracle(n):
                 assert proj_invariant(lat) == proj_invariant_bruteforce(lat)
+
+    def test_bruteforce_refuses_disagreeing_witnesses(self, monkeypatch):
+        # the first witness is put in a wrong class, the rest in the right one
+        lat = Lattice2(((1, 2), (0, 4)))
+        right = proj_invariant(lat)
+        wrong = next(p for p in enumerate_points(4) if p != right)
+        calls = []
+
+        def first_wrong(x, y, d):
+            calls.append((x, y))
+            return wrong if len(calls) == 1 else class_of(x, y, d)
+
+        monkeypatch.setattr(lattice2, "class_of", first_wrong)
+        with pytest.raises(InternalInconsistency):
+            proj_invariant_bruteforce(lat)
+        assert len(calls) > 1
 
 
 class TestReconstruct:

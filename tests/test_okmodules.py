@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cotorsion
-from cotorsion import intmat
+from cotorsion import intmat, okmodules
 from cotorsion.errors import (
     BadInvariants,
     BadProduct,
@@ -19,6 +19,7 @@ from cotorsion.errors import (
     NonComaximal,
     NotFullRank,
     NotUnimodular,
+    OutOfRange,
 )
 from cotorsion.okmodules import (
     CotorsionModule,
@@ -108,7 +109,7 @@ def omega_stable_oracle(K, hnf_rows):
     rows = [list(r) for r in hnf_rows]
     images = [[*(QuadInt(K, x1, y1) * w).coords(), *(QuadInt(K, x2, y2) * w).coords()]
               for x1, y1, x2, y2 in rows]
-    return all(intmat.solve_in_lattice(rows, img) is not None for img in images)
+    return all(intmat.in_lattice(rows, img) for img in images)
 
 
 def generated_module_oracle(K, gens):
@@ -504,6 +505,15 @@ class TestReconstruct:
             KI, [(KI.one, KI.one), (zero, KI.element(1, 1))]
         )
         assert M == expected
+
+    def test_enumeration_bound(self, monkeypatch):
+        # K = (3) over Z[i]: I = (3) is inert, so |PF^1_I| = 9 + 1
+        three = ideal_from_generators(KI, [KI.element(3)])
+        monkeypatch.setattr(okmodules, "ENUMERATION_BOUND", 9)
+        with pytest.raises(OutOfRange):
+            enumerate_cotorsion(unit_ideal(KI), three)
+        monkeypatch.setattr(okmodules, "ENUMERATION_BOUND", 10)
+        assert len(enumerate_cotorsion(unit_ideal(KI), three)) == 10
 
     def test_three_points_three_modules(self):
         mods = enumerate_cotorsion(unit_ideal(K5), P2)

@@ -662,14 +662,42 @@ class TestCrtAndAvoiding:
         with pytest.raises(NonComaximal):
             crt_idempotents([I, J])
 
-    def test_express_one(self):
-        rng = random.Random(48)
-        for K in (KI, K5):
-            primes = [pa.ideal for p in (2, 3, 5, 7) for pa in primes_above(K, p)]
-            for _ in range(20):
-                I, J = rng.sample(primes, 2)
+    @pytest.mark.parametrize("d", [-1, -3, -5, -23, -71])
+    def test_express_one(self, d):
+        # every pair of primes above 2..13 and their squares and cubes,
+        # including each split pair (P^k, conj(P)^k) of equal norm
+        K = ring(d)
+        primes = [pa.ideal for p in (2, 3, 5, 7, 11, 13) for pa in primes_above(K, p)]
+        powers = [ideal_pow(P, k) for P in primes for k in (1, 2, 3)]
+        conjugate_pairs = 0
+        for I in powers:
+            for J in powers:
                 if not ideal_sum(I, J).is_unit_ideal():
+                    with pytest.raises(NonComaximal):
+                        express_one(I, J)
                     continue
                 a, b = express_one(I, J)
                 assert I.contains(a) and J.contains(b)
                 assert a + b == K.one
+                conjugate_pairs += J == ideal_conj(I)
+        assert conjugate_pairs >= 6
+
+    @pytest.mark.parametrize("side", ["I", "J"])
+    def test_express_one_refuses_a_split_outside_the_ideals(self, monkeypatch, side):
+        # shift a by an element of J outside I (a leaves I, b stays in J),
+        # or by an element of I outside J (b leaves J); a + b = 1 still holds
+        P, Q = (pa.ideal for pa in primes_above(KI, 5))
+        I, J = ideal_pow(P, 2), Q
+        x, y = (J if side == "I" else I).hnf[0]
+        assert not (I if side == "I" else J).contains(KI.element(x, y))
+        stacked_hnf = intmat.stacked_hnf
+
+        def shifted(rows1, rows2):
+            hnf = stacked_hnf(rows1, rows2)
+            hnf[0][2] += x
+            hnf[0][3] += y
+            return hnf
+
+        monkeypatch.setattr(intmat, "stacked_hnf", shifted)
+        with pytest.raises(InternalInconsistency):
+            express_one(I, J)
