@@ -8,7 +8,6 @@ to probabilistic methods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DegenerateInput, OutOfRange
 
@@ -37,27 +36,11 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Sorted prime factorization ((p1, e1), (p2, e2), ...) with p1 < p2 < ..."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def value(self) -> int:
-        n = 1
-        for p, e in self.pairs:
-            n *= p**e
-        return n
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-
-def factorize(n: int) -> Factorization:
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Deterministic trial-division factorization of n >= 1.
+
+    Returns the pairs ((p1, e1), (p2, e2), ...) with p1 < p2 < ... and
+    every e >= 1, so factorize(1) == ().
 
     Raises OutOfRange when n < 1 or n > TRIAL_DIVISION_BOUND**2 (a
     cofactor above that could be composite without a witness below the
@@ -82,7 +65,7 @@ def factorize(n: int) -> Factorization:
     if m > 1:
         # m has no divisor <= sqrt(m), hence prime
         pairs.append((m, 1))
-    return Factorization(tuple(pairs))
+    return tuple(pairs)
 
 
 def divisors(n: int) -> list[int]:

@@ -70,9 +70,7 @@ def _eliminate(rows: Matrix, pr: int, i: int, col: int) -> None:
     a, b = rows[pr][col], rows[i][col]
     if b == 0:
         return
-    if a == 0:
-        rows[pr], rows[i] = rows[i], rows[pr]
-        return
+    # a != 0: the caller swaps a nonzero pivot in, and each step leaves a or a gcd >= 1
     if b % a == 0:
         # plain subtraction keeps the pivot row untouched
         q = b // a
@@ -147,9 +145,14 @@ def stacked_hnf(rows1, rows2) -> Matrix:
 
 
 def lattice_intersect(rows1, rows2) -> Matrix:
-    """HNF basis of the intersection of the two row lattices (same ambient dim)."""
+    """HNF basis of the intersection of the two row lattices (same ambient dim).
+
+    The rows of stacked_hnf with a zero left half are its last rows, so
+    their right halves are already echelon with positive pivots and
+    reduced above each pivot: they are the canonical HNF as they stand.
+    """
     n = len(rows1[0])
-    return row_hnf([row[n:] for row in stacked_hnf(rows1, rows2) if not any(row[:n])])
+    return [row[n:] for row in stacked_hnf(rows1, rows2) if not any(row[:n])]
 
 
 def smith_normal_form(rows) -> tuple[Matrix, Matrix, Matrix]:
@@ -165,10 +168,7 @@ def smith_normal_form(rows) -> tuple[Matrix, Matrix, Matrix]:
         a, b = B[i][col], B[j][col]
         if b == 0:
             return
-        if a == 0:
-            B[i], B[j] = B[j], B[i]
-            U[i], U[j] = U[j], U[i]
-            return
+        # a != 0, as in _eliminate: the pivot is nonzero and stays a or a gcd >= 1
         if b % a == 0:
             q = b // a
             B[j] = [v - q * w for v, w in zip(B[j], B[i])]
@@ -188,12 +188,7 @@ def smith_normal_form(rows) -> tuple[Matrix, Matrix, Matrix]:
         a, b = B[rowidx][i], B[rowidx][j]
         if b == 0:
             return
-        if a == 0:
-            for r in B:
-                r[i], r[j] = r[j], r[i]
-            for r in V:
-                r[i], r[j] = r[j], r[i]
-            return
+        # a != 0, as in row_op
         if b % a == 0:
             q = b // a
             for r in B:

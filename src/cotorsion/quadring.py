@@ -146,9 +146,6 @@ class QuadInt:
     def __sub__(self, other: "QuadInt") -> "QuadInt":
         return QuadInt(_same_ring(self, other), self.x - other.x, self.y - other.y)
 
-    def __neg__(self) -> "QuadInt":
-        return QuadInt(self.ring, -self.x, -self.y)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return QuadInt(self.ring, self.x * other, self.y * other)
@@ -162,18 +159,6 @@ class QuadInt:
         )
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "QuadInt":
-        if k < 0:
-            raise DegenerateInput("negative powers are not ring elements")
-        out = self.ring.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def conj(self) -> "QuadInt":
         # the conjugate of w is t - w
@@ -386,7 +371,7 @@ def primes_above(K: QuadRing, p: int) -> tuple[PrimeAbove, ...]:
     polynomial of w) modulo p; for odd p the roots are (t ± s) / 2 with
     s^2 = t^2 + 4u = disc (mod p), s by Tonelli-Shanks.
     """
-    if factorize(p).pairs != ((p, 1),):
+    if factorize(p) != ((p, 1),):
         raise DegenerateInput(f"{p} is not prime")
     pe = K.element(p)
     chi = kronecker(K, p)
@@ -416,7 +401,7 @@ def valuation(I: QuadIdeal, P: QuadIdeal) -> int:
 
 
 def factor_ideal(I: QuadIdeal) -> list[tuple[QuadIdeal, int]]:
-    """Factorization into maximal ideals, verified by reassembly."""
+    """The prime factorization of I into maximal ideals, verified by reassembly."""
     K = I.ring
     out = []
     for p, _ in factorize(I.norm):

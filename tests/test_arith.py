@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cotorsion import arith
 from cotorsion.arith import (
-    Factorization,
     crt_pair,
     divisors,
     factorize,
@@ -80,20 +79,21 @@ class TestXgcd:
 
 class TestFactorize:
     def test_one(self):
-        assert factorize(1) == Factorization(())
+        assert factorize(1) == ()
 
     def test_twelve(self):
-        assert factorize(12).pairs == ((2, 2), (3, 1))
+        assert factorize(12) == ((2, 2), (3, 1))
 
     def test_prime(self):
         # 9973 is prime: no divisor up to isqrt survives trial division
-        assert factorize(9973).pairs == ((9973, 1),)
+        assert factorize(9973) == ((9973, 1),)
 
     def test_product_roundtrip(self):
         for n in range(1, 10**4 + 1):
             f = factorize(n)
-            assert f.value() == n
-            ps = f.primes()
+            assert type(f) is tuple
+            assert math.prod(p**e for p, e in f) == n
+            ps = [p for p, _ in f]
             assert all(ps[i] < ps[i + 1] for i in range(len(ps) - 1))
             assert all(e >= 1 for _, e in f)
 
@@ -106,7 +106,7 @@ class TestFactorize:
 
     def test_large_prime_within_bound(self, monkeypatch):
         monkeypatch.setattr(arith, "TRIAL_DIVISION_BOUND", 10**4)
-        assert factorize(99_999_989).pairs == ((99_999_989, 1),)
+        assert factorize(99_999_989) == ((99_999_989, 1),)
 
 
 class TestSigma:

@@ -363,9 +363,10 @@ class TestDeterminism:
         assert done.stdout == "0\n"
 
     def test_usage_error_exits_two(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["lattice", "enumerate"])
-        assert exc.value.code == 2
+        for argv in (["lattice", "enumerate"], ["lattice", "invariants", "--rows", "1,2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "argv",

@@ -146,12 +146,37 @@ class TestConstruction:
         zero = KI.element(0)
         with pytest.raises(NotFullRank):
             module_from_generators(KI, [(KI.one, zero)])
+        with pytest.raises(NotFullRank):
+            module_from_hnf(KI, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
 
     def test_from_hnf_requires_omega_stability(self):
         with pytest.raises(BadInvariants):
             module_from_hnf(
                 KI, ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
             )
+
+    @pytest.mark.parametrize("d", [-1, -5, -23])
+    def test_from_hnf_rebuilds_every_small_module(self, d):
+        # any basis of a module, canonical or mixed by a unimodular matrix,
+        # gives that module back
+        K = ring(d)
+        rng = random.Random(61)
+        modules = [
+            M for n in range(1, 13) for L, Kid in invariant_pairs(K, n)
+            for M in enumerate_cotorsion(L, Kid)
+        ]
+        assert len(modules) > 30
+        for M in modules:
+            assert module_from_hnf(K, M.hnf4) == M
+            U = [[int(i == j) for j in range(4)] for i in range(4)]
+            for _ in range(12):
+                i, j = rng.sample(range(4), 2)
+                q = rng.randint(-3, 3)
+                U[i] = [v + q * w for v, w in zip(U[i], U[j])]
+            rng.shuffle(U)
+            mixed = intmat.mat_mul(U, [list(r) for r in M.hnf4])
+            assert abs(intmat.det(U)) == 1 and mixed != [list(r) for r in M.hnf4]
+            assert module_from_hnf(K, mixed) == M
 
     def test_omega_stable_by_construction(self):
         rng = random.Random(60)
@@ -662,6 +687,10 @@ class TestIntersect:
     def test_empty_list_rejected(self):
         with pytest.raises(BadProduct):
             verify_intersection_theorem([])
+
+    def test_modules_over_different_rings_rejected(self):
+        with pytest.raises(DegenerateInput):
+            intersect(full_module(KI), full_module(K5))
 
     def test_triple_intersection(self):
         three = ideal_from_generators(KI, [KI.element(3)])

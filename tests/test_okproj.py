@@ -146,6 +146,8 @@ class TestClassOf:
         g = KI.element(1, 1)
         with pytest.raises(NotUnimodular):
             ok_class_of(g, g, ONE_PLUS_I)
+        with pytest.raises(NotUnimodular):
+            ok_equivalent(KI.one, KI.element(0), g, g, ONE_PLUS_I)
 
     def test_pair_from_another_ring_rejected(self):
         with pytest.raises(DegenerateInput):
@@ -303,6 +305,10 @@ class TestCrt:
         p = ok_class_of(KI.one, KI.element(0), ONE_PLUS_I)
         with pytest.raises(BadProduct):
             ok_crt_split(p, [ideal_from_generators(KI, [KI.element(3)])])
+        with pytest.raises(BadProduct):
+            ok_crt_split(p, [])
+        with pytest.raises(BadProduct):
+            ok_crt_join([])
         two = ideal_from_generators(KI, [KI.element(2)])
         four = ideal_mul(two, two)
         q1 = ok_class_of(KI.one, KI.element(0), two)

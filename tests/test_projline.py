@@ -43,6 +43,8 @@ class TestClassOf:
     def test_rejects_non_unimodular(self):
         with pytest.raises(NotUnimodular):
             class_of(2, 4, 6)
+        with pytest.raises(NotUnimodular):
+            equivalent(2, 4, 1, 0, 6)
 
     def test_rejects_zero_modulus(self):
         with pytest.raises(DegenerateInput):
@@ -211,3 +213,7 @@ class TestCrt:
             crt_split(p, [3, 5])
         with pytest.raises(BadModuli):
             crt_join([class_of(1, 0, 2), class_of(1, 1, 4)])
+        with pytest.raises(BadModuli):
+            crt_split(p, [])
+        with pytest.raises(BadModuli):
+            crt_join([])

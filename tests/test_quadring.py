@@ -245,6 +245,8 @@ class TestIdealConstruction:
         with pytest.raises(DegenerateInput):
             # not closed under multiplication by w
             ideal_from_hnf(K5, ((1, 0), (0, 2)))
+        with pytest.raises(ZeroIdeal):
+            ideal_from_hnf(K5, ((1, 1), (2, 2)))
 
     def test_principal_ideal_norm(self):
         rng = random.Random(44)
@@ -525,6 +527,10 @@ class TestFactorIdeal:
 class TestEnumerateIdeals:
     def test_norm_one(self):
         assert enumerate_ideals(KI, 1) == [unit_ideal(KI)]
+
+    def test_rejects_zero_norm(self):
+        with pytest.raises(DegenerateInput):
+            enumerate_ideals(KI, 0)
 
     def test_split_norm(self):
         assert len(enumerate_ideals(KI, 5)) == 2
