@@ -155,23 +155,10 @@ def _zeta_series(series: str, K, n: int) -> dirichlet.DirichletSeries:
 
 
 def _identity_reports(series: str, K, n: int) -> list[dirichlet.IdentityReport]:
-    """Both zeta identities, each factor series built once.
-
-    With counts the ideal counts (zeta over Z) and pf1 the point counts,
-    the left side is the stratum sum of the classification and the right
-    sides are the convolutions zeta(s-1)*zeta(s) and zeta(2s)*zeta_PF1(s).
-    """
-    if series == "z2":
-        counts, pf1 = dirichlet.series_zeta(n), dirichlet.series_pf1(n)
-    elif series == "ok-z2":
-        counts, pf1 = dirichlet.series_ideal_count(K, n), dirichlet.series_ok_pf1(K, n)
-    else:
+    """Both zeta identities of the module count: over Z for z2, over O_K for ok-z2."""
+    if series not in ("z2", "ok-z2"):
         raise _usage_error("--check-identity applies to --series z2 or ok-z2")
-    lhs = dirichlet.stratum_sum(counts, pf1)
-    rhs = (
-        dirichlet.convolve(dirichlet.series_shift(counts), counts),
-        dirichlet.convolve(dirichlet.series_square_support(counts), pf1),
-    )
+    lhs, *rhs = dirichlet.zeta_identity_sides(K, n)
     return [dirichlet.check_identity(lhs, r) for r in rhs]
 
 

@@ -1,29 +1,42 @@
 """Truncated formal Dirichlet series with exact integer coefficients.
 
-A series is the vector (a(1), ..., a(n_max)); multiplying two series is
-Dirichlet convolution of their coefficient vectors.  The zeta identities
-of this package are checked as exact coefficientwise equalities of such
+A series is the vector (a(1), ..., a(n_max)).  The zeta identities of
+this package are checked as exact coefficientwise equalities of such
 vectors: no floating point, no analytic evaluation.
 
 Every counting series here is multiplicative, so it is built by one
 smallest-prime-factor sieve from a closed-form value at each prime
 power p^k.  Over O_K that value depends only on p, k and the splitting
-type of p, which the Kronecker symbol (disc K / p) decides exactly; no
-ideal is enumerated or factored.  The per-n definitions (|PF^1| of each
-ideal of norm n, divisor sums) stay in the tests as oracles.
+type of p, which the Kronecker symbol chi = (disc K / p) decides exactly;
+no ideal is enumerated or factored.  Over Z it is the chi = 0 value: one
+prime of norm p lies over p, as over a ramified prime of O_K.  The per-n
+definitions (|PF^1| of each ideal of norm n, divisor sums) stay in the
+tests as oracles.
+
+The two identities of the module count, zeta_K(s) * zeta_K(s - 1) and
+zeta_K(2s) * zeta_PF1(s), are Dirichlet products of multiplicative
+series, hence Euler products with (f*g)(p^k) = sum_i f(p^i) g(p^(k-i)).
+`zeta_identity_sides` builds both right sides in the same sieve pass
+as the count and PF^1 series, from their values at the powers of each
+prime, for comparison with the stratum sum of the classification.
+The general `convolve`, `series_shift` and `series_square_support`
+build the same right sides with no multiplicativity assumed; they stay
+as the tests' oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 from .errors import BadLength
 from .quadring import QuadRing, kronecker
 
-#: the CLI refuses to build series longer than this; each series holds
-#: n_max Python ints, and an identity check holds several at once.
+#: the CLI refuses to build series longer than this; an identity check
+#: holds five series of n_max Python ints at once (the count and PF^1
+#: series, both Euler-product right sides and the stratum sum).
 SERIES_BOUND = 10**6
 
 
@@ -73,32 +86,126 @@ def _smallest_prime_factors(n_max: int) -> list[int]:
     return spf
 
 
-def _multiplicative(n_max: int, local) -> DirichletSeries:
-    """The multiplicative series with a(p^k) = local(p, k).
+def _rational(p: int) -> int:
+    """chi over Z: one prime of norm p lies over p, as over a ramified prime of O_K."""
+    return 0
 
-    Splits each n as q * m with q = p^k, p its least prime and p not
-    dividing m, so a(n) = a(q) * a(m).  local is called once per prime
-    power, when n = q; later n read a(q) back from the table.
+
+def _multiplicative(n_max: int, width: int, local, chi_of=_rational) -> list[DirichletSeries]:
+    """width multiplicative series a[0], ..., a[width - 1] in one sieve pass.
+
+    At each prime p the pass evaluates chi = chi_of(p) once and calls
+    local(a, p, k, q, chi) for q = p^k <= n_max in increasing k; local
+    sets every a[j][q], and may read the entries already set at q and at
+    lower powers of p.  Every other n splits as q * m with q = p^k, p its
+    least prime and p not dividing m, so a[j][n] = a[j][q] * a[j][m]
+    reads two entries already set.
     """
     if n_max < 1:
-        return DirichletSeries(())
+        return [DirichletSeries(())] * width
     spf = _smallest_prime_factors(n_max)
-    a = [0] * (n_max + 1)
-    a[1] = 1
+    tables = [[0, 1] + [0] * (n_max - 1) for _ in range(width)]
     for n in range(2, n_max + 1):
         p = spf[n]
-        m, q, k = n // p, p, 1
+        if p == n:
+            chi = chi_of(p)
+            q, k = p, 1
+            while q <= n_max:
+                local(tables, p, k, q, chi)
+                q, k = q * p, k + 1
+            continue
+        m, q = n // p, p
         while m % p == 0:
             m //= p
             q *= p
-            k += 1
-        a[n] = a[q] * a[m] if m > 1 else local(p, k)
-    return DirichletSeries(tuple(a[1:]))
+        if m > 1:
+            for a in tables:
+                a[n] = a[q] * a[m]
+    del spf
+    series = []
+    # each list is freed once its tuple is built
+    for a in tables:
+        del a[0]
+        series.append(DirichletSeries(tuple(a)))
+        a.clear()
+    return series
 
 
 def _psi(p: int, k: int) -> int:
     """|PF^1 over Z/p^k| = p^(k-1) * (p + 1), and 1 at k = 0."""
     return p ** (k - 1) * (p + 1) if k else 1
+
+
+def _ideal_count(p: int, k: int, chi: int) -> int:
+    """Ideals of norm p^k: k + 1 if p splits, one if it ramifies, and one
+    or none by the parity of k if it is inert."""
+    if chi == 1:
+        return k + 1
+    if chi == -1:
+        return 1 - k % 2
+    return 1
+
+
+def _pf1(p: int, k: int, chi: int) -> int:
+    """The sum of |PF^1 over O/I| over the ideals I of norm p^k.
+
+    |PF^1 over O/P^a| = N(P)^(a-1) * (N(P) + 1), so: the sum over P^a *
+    Q^b with a + b = k if p splits, (p^2)^(k/2 - 1) * (p^2 + 1) for even
+    k if p is inert (none for odd k), and p^(k-1) * (p + 1) if it
+    ramifies.
+    """
+    if chi == 1:
+        return sum(_psi(p, a) * _psi(p, k - a) for a in range(k + 1))
+    if chi == -1:
+        return 0 if k % 2 else _psi(p * p, k // 2)
+    return _psi(p, k)
+
+
+def _shifted_product(p: int, k: int, q: int, c: list[int]) -> int:
+    """(zeta(s - 1) * zeta(s))(p^k) = sum over i <= k of p^i c(p^i) c(p^(k-i)),
+    with c the count table, set at q = p^k and below."""
+    s, pi = 0, 1
+    for _ in range(k + 1):
+        s += pi * c[pi] * c[q // pi]
+        pi *= p
+    return s
+
+
+def _square_product(p: int, k: int, q: int, c: list[int], f: list[int]) -> int:
+    """(zeta(2s) * zeta_PF1(s))(p^k) = sum over 2i <= k of c(p^i) f(p^(k-2i)),
+    with c the count table and f the PF^1 table, set at q = p^k and below."""
+    s, pi = 0, 1
+    for _ in range(k // 2 + 1):
+        s += c[pi] * f[q // (pi * pi)]
+        pi *= p
+    return s
+
+
+def _counts_local(a, p: int, k: int, q: int, chi: int) -> None:
+    a[0][q] = _ideal_count(p, k, chi)
+
+
+def _pf1_local(a, p: int, k: int, q: int, chi: int) -> None:
+    a[0][q] = _pf1(p, k, chi)
+
+
+def _sigma_local(a, p: int, k: int, q: int, chi: int) -> None:
+    a[0][q] = (q * p - 1) // (p - 1)
+
+
+def _factors_local(a, p: int, k: int, q: int, chi: int) -> None:
+    """The count and PF^1 series, both factors of the stratum sum."""
+    a[0][q] = _ideal_count(p, k, chi)
+    a[1][q] = _pf1(p, k, chi)
+
+
+def _identities_local(a, p: int, k: int, q: int, chi: int) -> None:
+    """Both factors, then both right sides from the entries just set."""
+    c, f, shifted, squared = a
+    c[q] = _ideal_count(p, k, chi)
+    f[q] = _pf1(p, k, chi)
+    shifted[q] = _shifted_product(p, k, q, c)
+    squared[q] = _square_product(p, k, q, c, f)
 
 
 def series_zeta(n_max: int) -> DirichletSeries:
@@ -118,12 +225,12 @@ def series_zeta_double(n_max: int) -> DirichletSeries:
 
 def series_pf1(n_max: int) -> DirichletSeries:
     """a(n) = number of points of the projective line over Z/n."""
-    return _multiplicative(n_max, _psi)
+    return _multiplicative(n_max, 1, _pf1_local)[0]
 
 
 def series_sigma(n_max: int) -> DirichletSeries:
     """a(n) = sigma(n), the count of index-n sublattices of Z^2."""
-    return _multiplicative(n_max, lambda p, k: (p ** (k + 1) - 1) // (p - 1))
+    return _multiplicative(n_max, 1, _sigma_local)[0]
 
 
 def stratum_sum(f: DirichletSeries, g: DirichletSeries) -> DirichletSeries:
@@ -167,41 +274,13 @@ def series_shift(f: DirichletSeries) -> DirichletSeries:
 
 
 def series_ideal_count(K: QuadRing, n_max: int) -> DirichletSeries:
-    """a(n) = number of ideals of norm n: the Dedekind zeta coefficients.
-
-    At p^k: k + 1 ideals if p splits, one if it ramifies, and one or none
-    by the parity of k if it is inert.
-    """
-
-    def local(p: int, k: int) -> int:
-        chi = kronecker(K, p)
-        if chi == 1:
-            return k + 1
-        if chi == -1:
-            return 1 - k % 2
-        return 1
-
-    return _multiplicative(n_max, local)
+    """a(n) = number of ideals of norm n: the Dedekind zeta coefficients."""
+    return _multiplicative(n_max, 1, _counts_local, partial(kronecker, K))[0]
 
 
 def series_ok_pf1(K: QuadRing, n_max: int) -> DirichletSeries:
-    """a(n) = sum of |PF^1 over O/I| over the ideals I of norm n.
-
-    |PF^1 over O/P^a| = N(P)^(a-1) * (N(P) + 1), so at p^k: the sum over
-    P^a * Q^b with a + b = k if p splits, (p^2)^(k/2 - 1) * (p^2 + 1) for
-    even k if p is inert (none for odd k), and p^(k-1) * (p + 1) if it
-    ramifies.
-    """
-
-    def local(p: int, k: int) -> int:
-        chi = kronecker(K, p)
-        if chi == 1:
-            return sum(_psi(p, a) * _psi(p, k - a) for a in range(k + 1))
-        if chi == -1:
-            return 0 if k % 2 else _psi(p * p, k // 2)
-        return _psi(p, k)
-
-    return _multiplicative(n_max, local)
+    """a(n) = sum of |PF^1 over O/I| over the ideals I of norm n."""
+    return _multiplicative(n_max, 1, _pf1_local, partial(kronecker, K))[0]
 
 
 def series_ok_module_count(K: QuadRing, n_max: int) -> DirichletSeries:
@@ -211,7 +290,7 @@ def series_ok_module_count(K: QuadRing, n_max: int) -> DirichletSeries:
     N(L)^2 * N(I) and |PF^1_I| modules per (L, I), so
     a(n) = sum over l^2 * i = n of (#ideals of norm l) * (pf1 sum at i).
     """
-    return stratum_sum(series_ideal_count(K, n_max), series_ok_pf1(K, n_max))
+    return stratum_sum(*_multiplicative(n_max, 2, _factors_local, partial(kronecker, K)))
 
 
 @dataclass(frozen=True)
@@ -243,3 +322,19 @@ def check_identity(lhs: DirichletSeries, rhs: DirichletSeries) -> IdentityReport
         n for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs), start=1) if a != b
     )
     return IdentityReport(lhs.n_max, False, n, lhs.a(n), rhs.a(n))
+
+
+def zeta_identity_sides(
+    K: QuadRing | None, n_max: int
+) -> tuple[DirichletSeries, DirichletSeries, DirichletSeries]:
+    """The module count and both right sides of its zeta identities.
+
+    Over O_K, or over Z when K is None.  The module count is the stratum
+    sum of the classification; the right sides are the Euler products
+    zeta(s - 1) * zeta(s) and zeta(2s) * zeta_PF1(s), built in the same
+    sieve pass as the count and PF^1 series that the stratum sum reads.
+    """
+    chi_of = _rational if K is None else partial(kronecker, K)
+    counts, pf1, shifted, squared = _multiplicative(n_max, 4, _identities_local, chi_of)
+    return stratum_sum(counts, pf1), shifted, squared
+

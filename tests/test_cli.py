@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cotorsion
-from cotorsion import dirichlet
+from cotorsion import dirichlet, latenum, projline, quadring
 from cotorsion.cli import main
 
 
@@ -65,6 +66,16 @@ class TestPf1:
         code, out = run(capsys, "--format", "text", "pf1", "card", "--mod", "12")
         assert code == 0 and out.strip() == "24"
 
+    def test_crt_round_trip_failure(self, capsys, monkeypatch):
+        # a join that always gives the first point fails on the second
+        points = projline.enumerate_points(6)
+        monkeypatch.setattr(projline, "crt_join", lambda parts: points[0])
+        code, out = run(capsys, "pf1", "crt", "--mod", "6", "--split", "2,3")
+        assert code == 1
+        assert out.splitlines() == [
+            json.dumps({"error": "RoundTripFailure", "point": points[1].to_json()})
+        ]
+
 
 class TestLattice:
     def test_invariants(self, capsys):
@@ -90,6 +101,13 @@ class TestLattice:
     def test_enumerate_oracle_mode(self, capsys):
         code, _ = run(capsys, "lattice", "enumerate", "--index", "12", "--oracle")
         assert code == 0
+
+    def test_enumerate_oracle_mismatch(self, capsys, monkeypatch):
+        oracle = latenum.hnf_oracle
+        monkeypatch.setattr(latenum, "hnf_oracle", lambda n: oracle(n)[1:])
+        code, out = run(capsys, "lattice", "enumerate", "--index", "12", "--oracle")
+        assert code == 1
+        assert out.splitlines() == [json.dumps({"error": "OracleMismatch", "index": 12})]
 
     def test_domain_error_exit_code(self, capsys):
         code, out = run(capsys, "lattice", "invariants", "--rows", "1,2;2,4")
@@ -120,6 +138,96 @@ class TestZeta:
         )
         assert code == 0
         assert all(r["equal"] for r in json.loads(out))
+
+    # (local factor, p, k, identity it breaks): each factor made one too
+    # large at p^k.  Both sides of the second identity read the count and
+    # PF^1 tables, so only its own Euler factor can break it; the first
+    # identity's right side reads the count table alone, so it sees a
+    # wrong count or PF^1 factor too.
+    BROKEN_FACTORS = [
+        ("_ideal_count", 3, 2, 0),
+        ("_pf1", 2, 3, 0),
+        ("_shifted_product", 5, 2, 0),
+        ("_square_product", 7, 1, 1),
+    ]
+    IDENTITY_SERIES = [("z2",), ("ok-z2", "--disc", "-5")]
+
+    @staticmethod
+    def expected_reports(p, k, broken):
+        reports = [{"equal": True, "n_max": 60, "first_mismatch": None}] * 2
+        reports[broken] = {"equal": False, "n_max": 60, "first_mismatch": p**k}
+        return reports
+
+    @pytest.mark.parametrize("series", IDENTITY_SERIES, ids=lambda s: s[0])
+    @pytest.mark.parametrize("name,p,k,broken", BROKEN_FACTORS)
+    def test_identity_check_detects_a_broken_factor(
+        self, capsys, monkeypatch, series, name, p, k, broken
+    ):
+        factor = getattr(dirichlet, name)
+        monkeypatch.setattr(dirichlet, name, lambda *a: factor(*a) + (a[:2] == (p, k)))
+        code, out = run(capsys, "zeta", "--series", *series, "--nmax", "60", "--check-identity")
+        assert code == 1
+        assert json.loads(out) == self.expected_reports(p, k, broken)
+
+    def test_broken_factor_detected_under_optimize_flag(self):
+        script = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            from cotorsion import dirichlet
+            from cotorsion.cli import main
+            if not sys.flags.optimize:
+                sys.exit("not run under -O")
+            for name, p, k, _ in %r:
+                factor = getattr(dirichlet, name)
+                broken = lambda *a, f=factor, at=(p, k): f(*a) + (a[:2] == at)
+                setattr(dirichlet, name, broken)
+                for series in %r:
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        code = main(["zeta", "--series", *series, "--nmax", "60", "--check-identity"])
+                    print(code, out.getvalue().strip())
+                setattr(dirichlet, name, factor)
+            """
+            % (self.BROKEN_FACTORS, self.IDENTITY_SERIES)
+        )
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=_python_env(), timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        want = [
+            f"1 {json.dumps(self.expected_reports(p, k, broken))}"
+            for _, p, k, broken in self.BROKEN_FACTORS
+            for _ in self.IDENTITY_SERIES
+        ]
+        assert done.stdout.splitlines() == want
+
+    @pytest.mark.parametrize("series", IDENTITY_SERIES, ids=lambda s: s[0])
+    def test_identity_check_calls_no_convolution(self, capsys, monkeypatch, series):
+        # convolve and its helpers are the tests' oracle, not the CLI's route
+        for name in ("convolve", "series_shift", "series_square_support"):
+            monkeypatch.setattr(dirichlet, name, lambda *a, name=name: pytest.fail(name))
+        code, out = run(capsys, "zeta", "--series", *series, "--nmax", "300", "--check-identity")
+        assert code == 0
+        assert all(r["equal"] for r in json.loads(out))
+
+    def test_kronecker_once_per_prime(self, capsys, monkeypatch):
+        calls = []
+        kronecker = quadring.kronecker
+
+        def counting(K, p):
+            calls.append(p)
+            return kronecker(K, p)
+
+        monkeypatch.setattr(quadring, "kronecker", counting)
+        monkeypatch.setattr(dirichlet, "kronecker", counting)
+        code, _ = run(
+            capsys, "zeta", "--series", "ok-z2", "--disc", "-5", "--nmax", "480", "--check-identity"
+        )
+        assert code == 0
+        primes = [p for p in range(2, 481) if all(p % d for d in range(2, p))]
+        assert len(primes) == 92
+        assert calls == primes
 
     def test_series_dump(self, capsys):
         code, out = run(capsys, "zeta", "--series", "pf1", "--nmax", "6")

@@ -22,17 +22,20 @@ from cotorsion.dirichlet import (
     series_zeta_double,
     series_zeta_shift,
     stratum_sum,
+    zeta_identity_sides,
 )
 from cotorsion.errors import BadLength
 from cotorsion.okproj import ok_cardinality
 from cotorsion.projline import cardinality
-from cotorsion.quadring import enumerate_ideals, ring
+from cotorsion.quadring import enumerate_ideals, kronecker, ring
 
 KI = ring(-1)
 K5 = ring(-5)
 # class numbers 1, 1, 1, 2, 3, 7; extra units at -1 and -3; 2 ramified at
 # -1, -2 and -5, split at -23 and -71, inert at -3
 DISCS = (-1, -2, -3, -5, -23, -71)
+# these cover every splitting type of 2 and of 3
+EULER_DISCS = (-1, -2, -3, -5, -7, -15, -23, -71)
 
 
 class TestConvolve:
@@ -158,6 +161,21 @@ class TestZIdentities:
         assert check_identity(z2, convolve(series_zeta_shift(n), series_zeta(n))).equal
         assert check_identity(z2, convolve(series_zeta_double(n), series_pf1(n))).equal
 
+    def test_euler_route_matches_convolution(self):
+        # the CLI's route against the general convolution, coefficient by coefficient
+        n = 10**4
+        counts, pf1 = series_zeta(n), series_pf1(n)
+        lhs, shifted, squared = zeta_identity_sides(None, n)
+        assert lhs == series_z2(n)
+        assert shifted.coeffs == convolve(series_shift(counts), counts).coeffs
+        assert squared.coeffs == convolve(series_square_support(counts), pf1).coeffs
+
+    @pytest.mark.parametrize("n", [-3, 0, 1])
+    def test_euler_route_empty_and_unit_truncations(self, n):
+        want = (1,) * max(n, 0)
+        for K in (None, KI, K5):
+            assert [s.coeffs for s in zeta_identity_sides(K, n)] == [want] * 3
+
     def test_mismatch_reported(self):
         report = check_identity(series_zeta(2), series_zeta_shift(2))
         assert not report.equal
@@ -241,13 +259,18 @@ class TestDedekindIdentities:
             for n in range(1, 11):
                 assert s.a(n) == len(enumerate_cotorsion_bruteforce(K, n))
 
-    @pytest.mark.parametrize("d", [-3, -7, -15])
+    def test_fields_cover_every_splitting_type(self):
+        for p in (2, 3):
+            assert {kronecker(ring(d), p) for d in EULER_DISCS} == {-1, 0, 1}
+
+    @pytest.mark.parametrize("d", EULER_DISCS)
     def test_identities_other_discriminants(self, d):
+        # the CLI's Euler route against the general convolution, coefficient
+        # by coefficient
         K = ring(d)
-        n = 100
-        mc = series_ok_module_count(K, n)
-        counts = series_ideal_count(K, n)
-        assert check_identity(mc, convolve(series_shift(counts), counts)).equal
-        assert check_identity(
-            mc, convolve(series_square_support(counts), series_ok_pf1(K, n))
-        ).equal
+        n = 2000
+        counts, pf1 = series_ideal_count(K, n), series_ok_pf1(K, n)
+        lhs, shifted, squared = zeta_identity_sides(K, n)
+        assert lhs == series_ok_module_count(K, n) == stratum_sum(counts, pf1)
+        assert shifted.coeffs == convolve(series_shift(counts), counts).coeffs
+        assert squared.coeffs == convolve(series_square_support(counts), pf1).coeffs
