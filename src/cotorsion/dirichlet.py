@@ -201,9 +201,8 @@ def _factors_local(a, p: int, k: int, q: int, chi: int) -> None:
 
 def _identities_local(a, p: int, k: int, q: int, chi: int) -> None:
     """Both factors, then both right sides from the entries just set."""
+    _factors_local(a, p, k, q, chi)
     c, f, shifted, squared = a
-    c[q] = _ideal_count(p, k, chi)
-    f[q] = _pf1(p, k, chi)
     shifted[q] = _shifted_product(p, k, q, c)
     squared[q] = _square_product(p, k, q, c, f)
 

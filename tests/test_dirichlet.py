@@ -169,6 +169,7 @@ class TestZIdentities:
         assert lhs == series_z2(n)
         assert shifted.coeffs == convolve(series_shift(counts), counts).coeffs
         assert squared.coeffs == convolve(series_square_support(counts), pf1).coeffs
+        assert lhs == shifted == squared
 
     @pytest.mark.parametrize("n", [-3, 0, 1])
     def test_euler_route_empty_and_unit_truncations(self, n):
@@ -274,3 +275,4 @@ class TestDedekindIdentities:
         assert lhs == series_ok_module_count(K, n) == stratum_sum(counts, pf1)
         assert shifted.coeffs == convolve(series_shift(counts), counts).coeffs
         assert squared.coeffs == convolve(series_square_support(counts), pf1).coeffs
+        assert lhs == shifted == squared
