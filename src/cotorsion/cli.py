@@ -140,38 +140,34 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(2)
 
 
-def _zeta_series(series: str, K, n: int) -> dirichlet.DirichletSeries:
-    if series == "dedekind":
-        return dirichlet.series_ideal_count(K, n)
-    if series == "ok-pf1":
-        return dirichlet.series_ok_pf1(K, n)
-    if series == "ok-z2":
-        return dirichlet.series_ok_module_count(K, n)
-    if series == "z2":
-        return dirichlet.series_z2(n)
-    if series == "sigma":
-        return dirichlet.series_sigma(n)
-    return dirichlet.series_pf1(n)
-
-
-def _identity_reports(series: str, K, n: int) -> list[dirichlet.IdentityReport]:
-    """Both zeta identities of the module count: over Z for z2, over O_K for ok-z2."""
-    if series not in ("z2", "ok-z2"):
-        raise _usage_error("--check-identity applies to --series z2 or ok-z2")
-    lhs, *rhs = dirichlet.zeta_identity_sides(K, n)
-    return [dirichlet.check_identity(lhs, r) for r in rhs]
+# --series name -> (over O_K, has the zeta identities, builder of a(1..n));
+# a builder looks its function up when called, so a wrapped one is seen
+_SERIES = {
+    "z2": (False, True, lambda K, n: dirichlet.series_z2(n)),
+    "sigma": (False, False, lambda K, n: dirichlet.series_sigma(n)),
+    "pf1": (False, False, lambda K, n: dirichlet.series_pf1(n)),
+    "dedekind": (True, False, lambda K, n: dirichlet.series_ideal_count(K, n)),
+    "ok-pf1": (True, False, lambda K, n: dirichlet.series_ok_pf1(K, n)),
+    "ok-z2": (True, True, lambda K, n: dirichlet.series_ok_module_count(K, n)),
+}
 
 
 def cmd_zeta(args) -> int:
-    K = None
-    if args.series in ("dedekind", "ok-pf1", "ok-z2"):
-        if args.disc is None:
-            raise _usage_error(f"--series {args.series} requires --disc")
-        K = quadring.ring(args.disc)
+    over_ok, has_identities, build = _SERIES[args.series]
+    if over_ok and args.disc is None:
+        raise _usage_error(f"--series {args.series} requires --disc")
+    if not over_ok and args.disc is not None:
+        raise _usage_error(f"--series {args.series} takes no --disc")
+    if args.check_identity and not has_identities:
+        names = " or ".join(name for name, (_, ids, _) in _SERIES.items() if ids)
+        raise _usage_error(f"--check-identity applies to --series {names}")
+    K = quadring.ring(args.disc) if over_ok else None
     if args.nmax > dirichlet.SERIES_BOUND:
         raise OutOfRange(f"n_max = {args.nmax} exceeds the series bound {dirichlet.SERIES_BOUND}")
     if args.check_identity:
-        reports = _identity_reports(args.series, K, args.nmax)
+        # the module count and both right sides of its zeta identities
+        lhs, *rhs = dirichlet.zeta_identity_sides(K, args.nmax)
+        reports = [dirichlet.check_identity(lhs, r) for r in rhs]
         obj = [
             {
                 "equal": r.equal,
@@ -182,7 +178,7 @@ def cmd_zeta(args) -> int:
         ]
         _out(args, obj, "\n".join(str(r) for r in reports))
         return 0 if all(r.equal for r in reports) else 1
-    series = _zeta_series(args.series, K, args.nmax)
+    series = build(K, args.nmax)
     if args.format == "csv":
         for n, a in enumerate(series.coeffs, start=1):
             print(f"{n},{a}")
@@ -394,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lattice_enumerate)
 
     z = sub.add_parser("zeta", help="truncated Dirichlet series")
-    z.add_argument("--series", required=True,
-                   choices=("z2", "sigma", "pf1", "dedekind", "ok-pf1", "ok-z2"))
+    z.add_argument("--series", required=True, choices=_SERIES)
     z.add_argument("--nmax", type=int, required=True)
     z.add_argument("--disc", type=int, help="squarefree negative D for O_K series")
     z.add_argument("--check-identity", action="store_true",
@@ -459,6 +454,8 @@ def main(argv=None) -> int:
     # [] without calling the option's type; no option has an empty value
     if any(value == [] for value in vars(args).values()):
         parser.error("an option value of '--' is not accepted")
+    if args.format == "csv" and (args.command != "zeta" or args.check_identity):
+        parser.error("--format csv applies to zeta series dumps only")
     try:
         try:
             code = args.func(args)

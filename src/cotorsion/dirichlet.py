@@ -5,11 +5,12 @@ this package are checked as exact coefficientwise equalities of such
 vectors: no floating point, no analytic evaluation.
 
 Every counting series here is multiplicative, so it is built by one
-smallest-prime-factor sieve from a closed-form value at each prime
-power p^k.  Over O_K that value depends only on p, k and the splitting
-type of p, which the Kronecker symbol chi = (disc K / p) decides exactly;
-no ideal is enumerated or factored.  Over Z it is the chi = 0 value: one
-prime of norm p lies over p, as over a ramified prime of O_K.  The per-n
+smallest-prime-factor sieve from a local factor at each prime power
+p^k: a closed form with the one signature f(p, k, q, chi, tables),
+q = p^k.  Over O_K it depends only on p, k and the splitting type of p,
+which the Kronecker symbol chi = (disc K / p) decides exactly; no ideal
+is enumerated or factored.  Over Z it is the chi = 0 value: one prime
+of norm p lies over p, as over a ramified prime of O_K.  The per-n
 definitions (|PF^1| of each ideal of norm n, divisor sums) stay in the
 tests as oracles.
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 
 from .errors import BadLength
@@ -86,32 +86,30 @@ def _smallest_prime_factors(n_max: int) -> list[int]:
     return spf
 
 
-def _rational(p: int) -> int:
-    """chi over Z: one prime of norm p lies over p, as over a ramified prime of O_K."""
-    return 0
+def _multiplicative(n_max: int, factors, K: QuadRing | None = None) -> list[DirichletSeries]:
+    """One multiplicative series per local factor, in one sieve pass.
 
-
-def _multiplicative(n_max: int, width: int, local, chi_of=_rational) -> list[DirichletSeries]:
-    """width multiplicative series a[0], ..., a[width - 1] in one sieve pass.
-
-    At each prime p the pass evaluates chi = chi_of(p) once and calls
-    local(a, p, k, q, chi) for q = p^k <= n_max in increasing k; local
-    sets every a[j][q], and may read the entries already set at q and at
-    lower powers of p.  Every other n splits as q * m with q = p^k, p its
-    least prime and p not dividing m, so a[j][n] = a[j][q] * a[j][m]
+    At each prime p the pass evaluates chi = (disc K / p) once, or takes
+    chi = 0 over Z (K None).  For q = p^k <= n_max in increasing k it sets
+    tables[j][q] = factors[j](p, k, q, chi, tables) in order of j, so a
+    factor may read earlier tables at q and every table at lower powers
+    of p.  Every other n splits as q * m with q = p^k, p its least prime
+    and p not dividing m, so tables[j][n] = tables[j][q] * tables[j][m]
     reads two entries already set.
     """
     if n_max < 1:
-        return [DirichletSeries(())] * width
+        return [DirichletSeries(())] * len(factors)
     spf = _smallest_prime_factors(n_max)
-    tables = [[0, 1] + [0] * (n_max - 1) for _ in range(width)]
+    tables = [[0, 1] + [0] * (n_max - 1) for _ in factors]
+    pairs = list(zip(tables, factors))
     for n in range(2, n_max + 1):
         p = spf[n]
         if p == n:
-            chi = chi_of(p)
+            chi = 0 if K is None else kronecker(K, p)
             q, k = p, 1
             while q <= n_max:
-                local(tables, p, k, q, chi)
+                for a, f in pairs:
+                    a[q] = f(p, k, q, chi, tables)
                 q, k = q * p, k + 1
             continue
         m, q = n // p, p
@@ -136,7 +134,7 @@ def _psi(p: int, k: int) -> int:
     return p ** (k - 1) * (p + 1) if k else 1
 
 
-def _ideal_count(p: int, k: int, chi: int) -> int:
+def _ideal_count(p: int, k: int, q: int, chi: int, tables) -> int:
     """Ideals of norm p^k: k + 1 if p splits, one if it ramifies, and one
     or none by the parity of k if it is inert."""
     if chi == 1:
@@ -146,7 +144,7 @@ def _ideal_count(p: int, k: int, chi: int) -> int:
     return 1
 
 
-def _pf1(p: int, k: int, chi: int) -> int:
+def _pf1(p: int, k: int, q: int, chi: int, tables) -> int:
     """The sum of |PF^1 over O/I| over the ideals I of norm p^k.
 
     |PF^1 over O/P^a| = N(P)^(a-1) * (N(P) + 1), so: the sum over P^a *
@@ -161,9 +159,15 @@ def _pf1(p: int, k: int, chi: int) -> int:
     return _psi(p, k)
 
 
-def _shifted_product(p: int, k: int, q: int, c: list[int]) -> int:
+def _sigma(p: int, k: int, q: int, chi: int, tables) -> int:
+    """sigma(p^k) = 1 + p + ... + p^k."""
+    return (q * p - 1) // (p - 1)
+
+
+def _shifted_product(p: int, k: int, q: int, chi: int, tables) -> int:
     """(zeta(s - 1) * zeta(s))(p^k) = sum over i <= k of p^i c(p^i) c(p^(k-i)),
-    with c the count table, set at q = p^k and below."""
+    with c = tables[0] the count table, set at q = p^k and below."""
+    c = tables[0]
     s, pi = 0, 1
     for _ in range(k + 1):
         s += pi * c[pi] * c[q // pi]
@@ -171,40 +175,16 @@ def _shifted_product(p: int, k: int, q: int, c: list[int]) -> int:
     return s
 
 
-def _square_product(p: int, k: int, q: int, c: list[int], f: list[int]) -> int:
+def _square_product(p: int, k: int, q: int, chi: int, tables) -> int:
     """(zeta(2s) * zeta_PF1(s))(p^k) = sum over 2i <= k of c(p^i) f(p^(k-2i)),
-    with c the count table and f the PF^1 table, set at q = p^k and below."""
+    with c = tables[0] the count and f = tables[1] the PF^1 table, set at
+    q = p^k and below."""
+    c, f = tables[0], tables[1]
     s, pi = 0, 1
     for _ in range(k // 2 + 1):
         s += c[pi] * f[q // (pi * pi)]
         pi *= p
     return s
-
-
-def _counts_local(a, p: int, k: int, q: int, chi: int) -> None:
-    a[0][q] = _ideal_count(p, k, chi)
-
-
-def _pf1_local(a, p: int, k: int, q: int, chi: int) -> None:
-    a[0][q] = _pf1(p, k, chi)
-
-
-def _sigma_local(a, p: int, k: int, q: int, chi: int) -> None:
-    a[0][q] = (q * p - 1) // (p - 1)
-
-
-def _factors_local(a, p: int, k: int, q: int, chi: int) -> None:
-    """The count and PF^1 series, both factors of the stratum sum."""
-    a[0][q] = _ideal_count(p, k, chi)
-    a[1][q] = _pf1(p, k, chi)
-
-
-def _identities_local(a, p: int, k: int, q: int, chi: int) -> None:
-    """Both factors, then both right sides from the entries just set."""
-    _factors_local(a, p, k, q, chi)
-    c, f, shifted, squared = a
-    shifted[q] = _shifted_product(p, k, q, c)
-    squared[q] = _square_product(p, k, q, c, f)
 
 
 def series_zeta(n_max: int) -> DirichletSeries:
@@ -224,12 +204,12 @@ def series_zeta_double(n_max: int) -> DirichletSeries:
 
 def series_pf1(n_max: int) -> DirichletSeries:
     """a(n) = number of points of the projective line over Z/n."""
-    return _multiplicative(n_max, 1, _pf1_local)[0]
+    return _multiplicative(n_max, (_pf1,))[0]
 
 
 def series_sigma(n_max: int) -> DirichletSeries:
     """a(n) = sigma(n), the count of index-n sublattices of Z^2."""
-    return _multiplicative(n_max, 1, _sigma_local)[0]
+    return _multiplicative(n_max, (_sigma,))[0]
 
 
 def stratum_sum(f: DirichletSeries, g: DirichletSeries) -> DirichletSeries:
@@ -274,12 +254,12 @@ def series_shift(f: DirichletSeries) -> DirichletSeries:
 
 def series_ideal_count(K: QuadRing, n_max: int) -> DirichletSeries:
     """a(n) = number of ideals of norm n: the Dedekind zeta coefficients."""
-    return _multiplicative(n_max, 1, _counts_local, partial(kronecker, K))[0]
+    return _multiplicative(n_max, (_ideal_count,), K)[0]
 
 
 def series_ok_pf1(K: QuadRing, n_max: int) -> DirichletSeries:
     """a(n) = sum of |PF^1 over O/I| over the ideals I of norm n."""
-    return _multiplicative(n_max, 1, _pf1_local, partial(kronecker, K))[0]
+    return _multiplicative(n_max, (_pf1,), K)[0]
 
 
 def series_ok_module_count(K: QuadRing, n_max: int) -> DirichletSeries:
@@ -289,7 +269,7 @@ def series_ok_module_count(K: QuadRing, n_max: int) -> DirichletSeries:
     N(L)^2 * N(I) and |PF^1_I| modules per (L, I), so
     a(n) = sum over l^2 * i = n of (#ideals of norm l) * (pf1 sum at i).
     """
-    return stratum_sum(*_multiplicative(n_max, 2, _factors_local, partial(kronecker, K)))
+    return stratum_sum(*_multiplicative(n_max, (_ideal_count, _pf1), K))
 
 
 @dataclass(frozen=True)
@@ -333,7 +313,8 @@ def zeta_identity_sides(
     zeta(s - 1) * zeta(s) and zeta(2s) * zeta_PF1(s), built in the same
     sieve pass as the count and PF^1 series that the stratum sum reads.
     """
-    chi_of = _rational if K is None else partial(kronecker, K)
-    counts, pf1, shifted, squared = _multiplicative(n_max, 4, _identities_local, chi_of)
+    counts, pf1, shifted, squared = _multiplicative(
+        n_max, (_ideal_count, _pf1, _shifted_product, _square_product), K
+    )
     return stratum_sum(counts, pf1), shifted, squared
 

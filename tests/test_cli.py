@@ -350,6 +350,25 @@ class TestOkmod:
         assert all(obj["checks"].values())
         assert obj["K"]["hnf"] == [[3, 3], [0, 6]]
 
+    # annihilators (1+i), (3) and (2+i): pairwise comaximal
+    @pytest.mark.parametrize(
+        "modules", ["1,1; 0,1+w | 1,2; 0,3", "1,1; 0,1+w | 1,2; 0,3 | 1,1; 0,2+w"]
+    )
+    def test_intersect_matches_verify(self, capsys, modules):
+        argv = ("okmod", "intersect", "--disc", "-1", "--modules", modules)
+        code, out = run(capsys, *argv)
+        assert code == 0
+        code, verified = run(capsys, *argv, "--verify")
+        assert code == 0
+        verified = json.loads(verified)
+        assert all(verified.pop("checks").values())
+        assert json.loads(out) == verified
+
+    def test_enumerate_rejects_k_outside_l(self, capsys):
+        code, out = run(capsys, "okmod", "enumerate", "--disc", "-1", "--L", "2", "--K", "3")
+        assert code == 1
+        assert json.loads(out)["error"] == "BadInvariants"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -481,13 +500,19 @@ class TestDeterminism:
         [
             ("okmod", "invariants", "--disc", "-1", "--gens", "1,2,3"),
             ("okmod", "reconstruct", "--disc", "-1", "--L", "1", "--K", "2", "--point", "1"),
+            # options the call would ignore
+            ("--format", "csv", "pf1", "card", "--mod", "4"),
+            ("--format", "csv", "zeta", "--series", "z2", "--nmax", "4", "--check-identity"),
+            ("zeta", "--series", "z2", "--disc", "7", "--nmax", "4"),
         ],
     )
-    def test_malformed_okmod_input_exits_two(self, capsys, argv):
+    def test_malformed_input_exits_two(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err
 
 
 _INT = st.integers(-50, 50).map(str)

@@ -2,11 +2,19 @@ from itertools import product
 
 import pytest
 
-from cotorsion.errors import BadProduct, DegenerateInput, NonComaximal, NotUnimodular, OutOfRange
+from cotorsion.errors import (
+    BadProduct,
+    DegenerateInput,
+    InternalInconsistency,
+    NonComaximal,
+    NotUnimodular,
+    OutOfRange,
+)
 from cotorsion import intmat, okproj
 from cotorsion.okproj import (
     OkProjPoint,
     is_unimodular_pair,
+    line_point,
     ok_cardinality,
     ok_class_of,
     ok_crt_join,
@@ -172,6 +180,23 @@ class TestClassOf:
                     assert p.a + p.b == orbit_least(a, b, I)
                     for lam in units:
                         assert ok_class_of(lam * a, lam * b, I) == p
+
+    def test_line_point_rejects_rows_that_span_no_line(self):
+        # I = (5) = P * conj(P) over Z[i]: I*O^2 alone has index 625, not N(I) = 25
+        I = ideal_from_generators(KI, [KI.element(5)])
+        with pytest.raises(InternalInconsistency, match="do not span a line"):
+            line_point(I, [])
+
+    def test_line_point_rejects_a_line_with_no_unimodular_element(self):
+        # P + P has index 25 = N(I) and contains I*O^2, but P holds both
+        # coordinates of every element, so no element is unimodular
+        I = ideal_from_generators(KI, [KI.element(5)])
+        P = ideal_from_generators(KI, [KI.element(2, 1)])
+        assert P.contains_ideal(I) and P.norm == 5
+        (p11, p12), (_, p22) = P.hnf
+        rows = [[p11, p12, 0, 0], [0, p22, 0, 0], [0, 0, p11, p12], [0, 0, 0, p22]]
+        with pytest.raises(InternalInconsistency, match="has no unimodular element"):
+            line_point(I, rows)
 
     def test_equivalent_matches_class_equality(self):
         for I in small_ideals(KI, 9):
